@@ -1,15 +1,24 @@
 """Counting k-almost-primes under residue constraints, and the ordered
 tuple sums behind the density estimates.
 
-Counts enumerate sorted prime tuples p1 <= ... <= pk with product <= x by
-recursive descent, pruning with p^(remaining depth) <= remaining budget; the
-final position collapses to a range query against the sieve's per-class
-prime index. Ordered-tuple quantities weight each sorted tuple by its number
-of distinct orderings (k! over the factorials of its prime multiplicities).
+Every count here, and the sign counts in density.py, is one walk: _walk
+descends the sorted prime tuples p1 <= ... <= pk with product <= x, pruning
+with p^(positions left) <= remaining budget, and answers the last position
+with one range query. A caller supplies a step/leaf pair. step(state, pos, p)
+returns the state after choosing p at position pos, or None to skip p. leaf
+(state, lo, hi) returns the contribution of the last prime pk in (lo, hi],
+usually a count against the sieve's per-class prime index. The walker sums
+the leaves. It also enforces the one coverage rule, _coverage_need: a table
+must hold every prime up to x / 2^(k-1), the largest last-position value.
 
 A residue constraint is a multiset: an integer is counted when the residues
-of its prime tuple mod N match the constraint as multisets. The positional
-variant (i-th smallest prime lies in the i-th class) is separate.
+of its prime tuple mod N match the constraint as multisets; the step removes
+each chosen prime's residue from the multiset. The positional variant (i-th
+smallest prime lies in the i-th class) tests one class per position.
+Ordered-tuple quantities weight each sorted tuple by its number of distinct
+orderings (k! over the factorials of its prime multiplicities), carried as
+run lengths in the step state. Counts that are asked for again are memoized
+in the table's own memo dict.
 """
 
 from __future__ import annotations
@@ -18,9 +27,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .arith import euler_phi
 from .characters import build_character_group
@@ -66,12 +72,65 @@ def distinct_permutation_count(constraint: ResidueConstraint) -> int:
     return m
 
 
-def _require_coverage(table: SpfTable, x: int, k: int) -> None:
-    need = x if k == 1 else x // 2 ** (k - 1)
+def _coverage_need(x: int, k: int) -> int:
+    """Largest value the last position of a k-tuple with product <= x can
+    take: x over 2^(k-1), the smallest leading product."""
+    return x // 2 ** (k - 1)
+
+
+def _walk(table: SpfTable, x: int, k: int, strict: bool, step, leaf, state):
+    """Walk the sorted prime tuples p1 <= ... <= pk (p1 < ... < pk when
+    strict) with product <= x, and return the sum of the leaf values.
+
+    Positions 0..k-2 are chosen by descent, pruned by p^(positions left) <=
+    remaining budget. At each candidate p the walker asks step(state, pos, p)
+    for the child state; None skips p. The last position is one range query:
+    leaf(state, lo, hi) gets the state after k-1 choices and the range
+    lo < pk <= hi, where hi is x over the leading product and lo is the
+    previous prime (minus one when repeats are allowed; 1 when k = 1). hi
+    never exceeds _coverage_need(x, k), which the table must cover.
+    """
+    need = _coverage_need(x, k)
     if need > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
         )
+    primes = table.primes_list
+
+    def descend(budget: int, depth: int, lo_idx: int, lo_val: int, st):
+        if depth == 1:
+            return leaf(st, lo_val, budget)
+        pos = k - depth
+        total = 0
+        for i in range(lo_idx, len(primes)):
+            p = primes[i]
+            if p**depth > budget:
+                break
+            child = step(st, pos, p)
+            if child is not None:
+                total += descend(
+                    budget // p,
+                    depth - 1,
+                    i + 1 if strict else i,
+                    p if strict else p - 1,
+                    child,
+                )
+        return total
+
+    return descend(x, k, 0, 1, state)
+
+
+def _table_memo(fn):
+    """Cache fn(table, *args) in table.memo, so results live as long as the
+    table and no longer."""
+
+    def cached(table: SpfTable, *args):
+        key = (fn, args)
+        if key not in table.memo:
+            table.memo[key] = fn(table, *args)
+        return table.memo[key]
+
+    return cached
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -79,58 +138,27 @@ def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
     return values[:i] + values[i + 1 :]
 
 
-@lru_cache(maxsize=None)
+@_table_memo
 def _sorted_count(
     table: SpfTable,
     x: int,
     k: int,
     modulus: int,
-    residues: tuple[int, ...] | None,
+    residues: tuple[int, ...],
     strict: bool,
 ) -> int:
-    """Sorted prime tuples with product <= x; strict means distinct primes."""
-    primes = table.primes_list
-    cidx = table.class_index(modulus) if residues is not None else None
-    prime_arr = table.primes
+    """Sorted prime tuples with product <= x whose residues mod modulus match
+    the multiset `residues`; strict means distinct primes."""
+    cidx = table.class_index(modulus)
 
-    def last_count(lo: int, hi: int, remaining) -> int:
-        if hi < 2:
-            return 0
-        if remaining is None:
-            j1 = int(np.searchsorted(prime_arr, hi, side="right"))
-            j0 = int(np.searchsorted(prime_arr, lo, side="right"))
-            return j1 - j0
+    def step(remaining, pos, p):
+        r = p % modulus
+        return _remove_one(remaining, r) if r in remaining else None
+
+    def leaf(remaining, lo, hi):
         return cidx.count(remaining[0], lo, hi)
 
-    def rec(budget: int, depth: int, lo_idx: int, lo_val: int, remaining) -> int:
-        if depth == 1:
-            return last_count(lo_val, budget, remaining)
-        total = 0
-        i = lo_idx
-        while i < len(primes):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            child = remaining
-            ok = True
-            if remaining is not None:
-                r = p % modulus
-                if r in remaining:
-                    child = _remove_one(remaining, r)
-                else:
-                    ok = False
-            if ok:
-                total += rec(
-                    budget // p,
-                    depth - 1,
-                    i + 1 if strict else i,
-                    p if strict else p - 1,
-                    child,
-                )
-            i += 1
-        return total
-
-    return rec(x, k, 0, 1, residues)
+    return _walk(table, x, k, strict, step, leaf, residues)
 
 
 def count_almost_primes(
@@ -147,10 +175,9 @@ def count_almost_primes(
         raise ValueError("k must be >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
-    _require_coverage(table, x, k)
     if constraint is None:
-        return _sorted_count(table, x, k, 1, None, mode is CountMode.SQUAREFREE)
-    if constraint.k != k:
+        constraint = ResidueConstraint(1, (0,) * k)
+    elif constraint.k != k:
         raise ValueError("constraint length must equal k")
     return _sorted_count(
         table,
@@ -176,39 +203,19 @@ def count_almost_primes_positional(
         raise ValueError("need one residue per position")
     if x < 1:
         raise ValueError("x must be >= 1")
-    _require_coverage(table, x, k)
     res = tuple(r % modulus for r in residues)
-    primes = table.primes_list
     cidx = table.class_index(modulus)
-    strict = mode is CountMode.SQUAREFREE
 
-    def rec(budget: int, depth: int, lo_idx: int, lo_val: int) -> int:
-        pos = k - depth
-        if depth == 1:
-            if budget < 2:
-                return 0
-            return cidx.count(res[pos], lo_val, budget)
-        want = res[pos]
-        total = 0
-        i = lo_idx
-        while i < len(primes):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            if p % modulus == want:
-                total += rec(
-                    budget // p,
-                    depth - 1,
-                    i + 1 if strict else i,
-                    p if strict else p - 1,
-                )
-            i += 1
-        return total
+    def step(st, pos, p):
+        return st if p % modulus == res[pos] else None
 
-    return rec(x, k, 0, 1)
+    def leaf(st, lo, hi):
+        return cidx.count(res[-1], lo, hi)
+
+    return _walk(table, x, k, mode is CountMode.SQUAREFREE, step, leaf, ())
 
 
-@lru_cache(maxsize=None)
+@_table_memo
 def _ordered_stats(
     table: SpfTable,
     x: int,
@@ -217,61 +224,54 @@ def _ordered_stats(
     residues: tuple[int, ...],
 ) -> tuple[int, float, float]:
     """(ordered count, sum of log n, sum of 1/n) over ordered prime tuples
-    with product <= x whose residue multiset matches `residues`."""
-    primes = table.primes_list
+    with product <= x whose residue multiset matches `residues`.
+
+    Each sorted tuple counts k! / prod(run length!) times. The step state
+    carries (remaining residues, previous prime, its run length, product of
+    the factorials of the closed runs, leading product).
+    """
     cidx = table.class_index(modulus)
     k_fact = math.factorial(k)
     fact = math.factorial
+    # the float sums accumulate here, in enumeration order, so they round
+    # as one running total would; per-level subtotals would move the last
+    # bits of the residuals that verify prints
+    sums = [0.0, 0.0]
 
-    count = 0
-    log_sum = 0.0
-    recip_sum = 0.0
+    def step(st, pos, p):
+        remaining, last_p, run_len, run_denom, prod = st
+        r = p % modulus
+        if r not in remaining:
+            return None
+        if p == last_p:
+            run_len += 1
+        else:
+            run_denom, run_len = run_denom * fact(run_len), 1
+        return _remove_one(remaining, r), p, run_len, run_denom, prod * p
 
-    def rec(budget, depth, lo_idx, last_p, run_len, run_denom, prod, remaining):
-        nonlocal count, log_sum, recip_sum
-        if depth == 1:
-            v = remaining[0]
-            # repeating the previous prime extends its run
-            if last_p is not None and last_p <= budget and last_p % modulus == v:
-                w = k_fact // (run_denom * fact(run_len + 1))
-                n_val = prod * last_p
-                count += w
-                log_sum += w * math.log(n_val)
-                recip_sum += w / n_val
-            lo = last_p if last_p is not None else 1
-            weight = k_fact // (run_denom * fact(run_len))
-            cnt, logs, recips = cidx.stats(v, lo, budget)
-            if cnt:
-                count += weight * cnt
-                log_sum += weight * (cnt * math.log(prod) + logs)
-                recip_sum += weight * (recips / prod)
-            return
-        i = lo_idx
-        while i < len(primes):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            r = p % modulus
-            if r in remaining:
-                if p == last_p:
-                    nd, nr = run_denom, run_len + 1
-                else:
-                    nd, nr = run_denom * fact(run_len), 1
-                rec(
-                    budget // p,
-                    depth - 1,
-                    i,
-                    p,
-                    nr,
-                    nd,
-                    prod * p,
-                    _remove_one(remaining, r),
-                )
-            i += 1
+    def leaf(st, lo, hi):
+        remaining, last_p, run_len, run_denom, prod = st
+        v = remaining[0]
+        count = 0
+        # repeating the previous prime extends its run; lo is last_p - 1, so
+        # the class range after it starts at last_p
+        if last_p is not None and last_p <= hi and last_p % modulus == v:
+            w = k_fact // (run_denom * fact(run_len + 1))
+            n_val = prod * last_p
+            count += w
+            sums[0] += w * math.log(n_val)
+            sums[1] += w / n_val
+            lo = last_p
+        weight = k_fact // (run_denom * fact(run_len))
+        cnt, logs, recips = cidx.stats(v, lo, hi)
+        if cnt:
+            count += weight * cnt
+            sums[0] += weight * (cnt * math.log(prod) + logs)
+            sums[1] += weight * (recips / prod)
+        return count
 
-    if x >= 2:
-        rec(x, k, 0, None, 0, 1, 1, residues)
-    return count, log_sum, recip_sum
+    count = _walk(table, x, k, False, step, leaf, (residues, None, 0, 1, 1))
+    return count, sums[0], sums[1]
 
 
 def ordered_tuple_count(
@@ -283,7 +283,6 @@ def ordered_tuple_count(
         raise ValueError("constraint length must equal k >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
-    _require_coverage(table, x, k)
     return _ordered_stats(table, x, k, constraint.modulus, constraint.multiset())[0]
 
 
@@ -318,7 +317,6 @@ def tuple_sums(
     if x < 0:
         raise ValueError("x must be >= 0")
     xf = math.floor(x)
-    _require_coverage(table, max(xf, 1), k)
     n_mod = constraint.modulus
     ms = constraint.multiset()
     cnt, logs, recips = _ordered_stats(table, xf, k, n_mod, ms)
@@ -345,27 +343,6 @@ IDENTITY_X_LIMIT = 10**4
 IDENTITY_K_LIMIT = 3
 
 
-def _iter_sorted_tuples(primes: list[int], x: int, k: int):
-    """Yield nondecreasing prime tuples with product <= x."""
-    stack: list[int] = []
-
-    def rec(budget: int, depth: int, lo_idx: int):
-        if depth == 0:
-            yield tuple(stack)
-            return
-        i = lo_idx
-        while i < len(primes):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            stack.append(p)
-            yield from rec(budget // p, depth - 1, i)
-            stack.pop()
-            i += 1
-
-    yield from rec(x, k, 0)
-
-
 def ordered_tuple_count_via_characters(
     table: SpfTable, x: int, k: int, constraint: ResidueConstraint
 ) -> float:
@@ -381,10 +358,10 @@ def ordered_tuple_count_via_characters(
         raise ValueError(f"k must be in 1..{CHARACTER_SUM_K_LIMIT}")
     if constraint.k != k:
         raise ValueError("constraint length must equal k")
-    _require_coverage(table, x, k)
     n_mod = constraint.modulus
     group = build_character_group(n_mod)
     arrangements = sorted(set(itertools.permutations(constraint.residues)))
+    primes = table.primes_list
 
     # literal inner sums over all characters, memoized per (m, p mod N)
     inner: dict[tuple[int, int], complex] = {}
@@ -399,17 +376,24 @@ def ordered_tuple_count_via_characters(
             inner[key] = val
         return val
 
-    total = 0j
-    for sorted_tuple in _iter_sorted_tuples(table.primes_list, x, k):
-        for ordered in set(itertools.permutations(sorted_tuple)):
-            residues = [p % n_mod for p in ordered]
-            for arr in arrangements:
-                prod = 1 + 0j
-                for pos in range(k):
-                    prod *= inner_sum(arr[pos], residues[pos])
-                    if prod == 0:
-                        break
-                total += prod
+    def extend(leading, pos, p):
+        return leading + (p,)
+
+    def leaf(leading, lo, hi):
+        subtotal = 0j
+        for last in primes[prime_count(table, lo) : prime_count(table, hi)]:
+            for ordered in set(itertools.permutations(leading + (last,))):
+                residues = [p % n_mod for p in ordered]
+                for arr in arrangements:
+                    prod = 1 + 0j
+                    for pos in range(k):
+                        prod *= inner_sum(arr[pos], residues[pos])
+                        if prod == 0:
+                            break
+                    subtotal += prod
+        return subtotal
+
+    total = _walk(table, x, k, False, extend, leaf, ())
     total /= euler_phi(n_mod) ** k
     if abs(total.imag) > 1e-6:
         raise ArithmeticError(f"character sum came out non-real: {total}")

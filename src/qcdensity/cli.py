@@ -19,7 +19,12 @@ import os
 import sys
 import time
 
-from .almostprime import CountMode, ResidueConstraint, count_almost_primes
+from .almostprime import (
+    CountMode,
+    ResidueConstraint,
+    _coverage_need,
+    count_almost_primes,
+)
 from .density import (
     SignConstraint,
     count_sign_constrained,
@@ -102,10 +107,6 @@ def _parse_eps(raw: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     if not signs:
         parser.error("empty --eps value")
     return tuple(signs)
-
-
-def _coverage_need(x: int, k: int) -> int:
-    return x if k == 1 else x // 2 ** (k - 1)
 
 
 def _cmd_primes(args, parser) -> int:

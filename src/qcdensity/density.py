@@ -4,10 +4,11 @@ Kronecker-symbol signs, with the classical asymptotic yardsticks.
 A sign constraint fixes epsilon_i in {+1, -1} per position of the sorted
 prime tuple of n; each prime must satisfy (D/p_i) = epsilon_i. Primes
 dividing D never match (their symbol is 0); p = 2 participates exactly when
-D is odd, since (D/2) = 0 for even D. Counting enumerates the leading
-primes directly and resolves the last position through the residue classes
-B(epsilon) mod Q, correcting for the finitely many primes dividing D whose
-class would otherwise be counted.
+D is odd, since (D/2) = 0 for even D. Counting is a step/leaf pair on the
+prime-tuple walker of almostprime.py: the step keeps a leading prime when
+its symbol equals the position's sign, and the leaf counts the last position
+through the residue classes B(epsilon) mod Q, correcting for the finitely
+many primes dividing D whose class would otherwise be counted, and for p = 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import kronecker, prime_divisors, squarefree_kernel
-from .almostprime import CountMode, count_almost_primes, count_almost_primes_positional
+from .almostprime import (
+    CountMode,
+    _walk,
+    count_almost_primes,
+    count_almost_primes_positional,
+)
 from .residues import residue_classes_direct
 from .sieve import SpfTable
 
@@ -107,16 +113,7 @@ def count_sign_constrained(
     q_mod = _sign_classes(d, 1)[0]
     class_sets = {1: _sign_classes(d, 1)[2], -1: _sign_classes(d, -1)[2]}
     corrections = _class_corrections(d)
-    primes = table.primes_list
     cidx = table.class_index(q_mod)
-    strict = mode is CountMode.SQUAREFREE
-
-    # coverage mirrors count_almost_primes
-    need = x if k == 1 else x // 2 ** (k - 1)
-    if need > table.limit:
-        raise ValueError(
-            f"table limit {table.limit} too small for x = {x}, k = {k}"
-        )
 
     kron_cache: dict[int, int] = {}
 
@@ -127,9 +124,11 @@ def count_sign_constrained(
             kron_cache[p] = v
         return v
 
-    def last_count(lo: int, hi: int, want: int) -> int:
-        if hi < 2:
-            return 0
+    def step(st, pos, p):
+        return st if (not odd_only or p != 2) and kron(p) == eps[pos] else None
+
+    def leaf(st, lo, hi):
+        want = eps[-1]
         members = class_sets[want]
         total = 0
         for a in sorted(members):
@@ -141,28 +140,7 @@ def count_sign_constrained(
             total += 1
         return total
 
-    def rec(budget: int, depth: int, lo_idx: int, lo_val: int) -> int:
-        pos = k - depth
-        if depth == 1:
-            return last_count(lo_val, budget, eps[pos])
-        want = eps[pos]
-        total = 0
-        i = lo_idx
-        while i < len(primes):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            if (not odd_only or p != 2) and kron(p) == want:
-                total += rec(
-                    budget // p,
-                    depth - 1,
-                    i + 1 if strict else i,
-                    p if strict else p - 1,
-                )
-            i += 1
-        return total
-
-    return rec(x, k, 0, 1)
+    return _walk(table, x, k, mode is CountMode.SQUAREFREE, step, leaf, ())
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class FactoredInteger:
 
 
 class _ClassIndex:
-    """Primes grouped by residue class mod N, with per-class log/recip arrays.
+    """Primes grouped by residue class mod N, with per-class log/recip arrays
+    built on first use (only the tuple sums read them).
 
     Range sums are computed by summing the class slice directly; prefix-sum
     differences would carry absolute error on the order of the full prefix
@@ -46,9 +48,14 @@ class _ClassIndex:
         order = np.argsort(residues, kind="stable")
         self._starts = np.searchsorted(residues[order], np.arange(modulus + 1))
         self._primes = primes[order]
-        as_float = self._primes.astype(np.float64)
-        self._logs = np.log(as_float)
-        self._recips = 1.0 / as_float
+
+    @cached_property
+    def _logs(self) -> np.ndarray:
+        return np.log(self._primes.astype(np.float64))
+
+    @cached_property
+    def _recips(self) -> np.ndarray:
+        return 1.0 / self._primes.astype(np.float64)
 
     def _bounds(self, residue: int, lo: int, hi: int) -> tuple[int, int]:
         # primes p in the class with lo < p <= hi
@@ -90,6 +97,9 @@ class SpfTable:
         self.primes = (np.nonzero(spf[2:] == width)[0] + 2).astype(np.int64)
         self._primes_list: list[int] | None = None
         self._class_indexes: dict[int, _ClassIndex] = {}
+        # results of counts over this table, keyed by the call; owned here so
+        # they are freed with the table
+        self.memo: dict = {}
 
     @property
     def primes_list(self) -> list[int]:

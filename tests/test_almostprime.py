@@ -4,8 +4,10 @@ Every counter is checked against a direct factorize-and-filter scan, so the
 fast enumeration and the scan must agree number by number.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -177,6 +179,27 @@ def test_tuple_sums_match_bruteforce(table):
     assert sums.arrangement_count == 2
     assert math.isclose(sums.log_sum, logs, rel_tol=1e-9)
     assert math.isclose(sums.reciprocal_sum, recips, rel_tol=1e-9)
+
+
+def test_tuple_sums_require_coverage_of_the_reduced_level():
+    """The error term reads level-(k-1) reciprocal sums, whose last position
+    reaches x / 2^(k-2); a table that covers only level k must refuse."""
+    constraint = ResidueConstraint(4, (1, 3))
+    with pytest.raises(ValueError, match="too small"):
+        q.tuple_sums(q.build_spf_table(500), 1000, 2, constraint)
+    sums = q.tuple_sums(q.build_spf_table(2000), 1000, 2, constraint)
+    assert sums.error_term == pytest.approx(-2152.6, abs=0.05)
+
+
+def test_memoized_counts_do_not_keep_the_table_alive():
+    table = q.build_spf_table(1000)
+    constraint = ResidueConstraint(4, (1, 3))
+    assert q.count_almost_primes(table, 1000, 2) > 0
+    assert q.tuple_sums(table, 1000, 2, constraint).ordered_count > 0
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("x,k,constraint,expected", [
