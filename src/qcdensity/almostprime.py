@@ -7,18 +7,19 @@ with p^(positions left) <= remaining budget, and answers the last position
 with one range query. A caller supplies a step/leaf pair. step(state, pos, p)
 returns the state after choosing p at position pos, or None to skip p. leaf
 (state, lo, hi) returns the contribution of the last prime pk in (lo, hi],
-usually a count against the sieve's per-class prime index. The walker sums
-the leaves. It also enforces the one coverage rule, _coverage_need: a table
-must hold every prime up to x / 2^(k-1), the largest last-position value.
+a query on a labelled prime index of the sieve. The walker sums the leaves.
+It also enforces the one coverage rule, _coverage_need: a table must hold
+every prime up to x / 2^(k-1), the largest last-position value.
 
-A residue constraint is a multiset: an integer is counted when the residues
-of its prime tuple mod N match the constraint as multisets; the step removes
-each chosen prime's residue from the multiset. The positional variant (i-th
-smallest prime lies in the i-th class) tests one class per position.
-Ordered-tuple quantities weight each sorted tuple by its number of distinct
-orderings (k! over the factorials of its prime multiplicities), carried as
-run lengths in the step state. Counts that are asked for again are memoized
-in the table's own memo dict.
+Positional counts (the i-th smallest prime has the i-th target label) are
+one step/leaf pair, _count_labelled, for residue labels p mod N here and for
+the sign labels of density.py. A residue constraint is a multiset: an
+integer is counted when the residues of its prime tuple mod N match the
+constraint as multisets; the step removes each chosen prime's residue from
+the multiset. Ordered-tuple quantities weight each sorted tuple by its
+number of distinct orderings (k! over the factorials of its prime
+multiplicities), carried as run lengths in the step state. Counts that are
+asked for again are memoized in the table's own memo dict.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .arith import euler_phi
 from .characters import build_character_group
-from .sieve import SpfTable, prime_count
+from .sieve import SpfTable, _table_memo, prime_count
 
 
 class CountMode(enum.Enum):
@@ -120,17 +121,20 @@ def _walk(table: SpfTable, x: int, k: int, strict: bool, step, leaf, state):
     return descend(x, k, 0, 1, state)
 
 
-def _table_memo(fn):
-    """Cache fn(table, *args) in table.memo, so results live as long as the
-    table and no longer."""
+def _count_labelled(
+    table: SpfTable, x: int, k: int, strict: bool, label, index, targets
+) -> int:
+    """Sorted prime tuples with product <= x whose i-th prime p has
+    label(p) == targets[i]. The leading positions call label; the last is
+    one index.count, so index must label the primes as label does."""
 
-    def cached(table: SpfTable, *args):
-        key = (fn, args)
-        if key not in table.memo:
-            table.memo[key] = fn(table, *args)
-        return table.memo[key]
+    def step(st, pos, p):
+        return st if label(p) == targets[pos] else None
 
-    return cached
+    def leaf(st, lo, hi):
+        return index.count(targets[-1], lo, hi)
+
+    return _walk(table, x, k, strict, step, leaf, ())
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -203,16 +207,12 @@ def count_almost_primes_positional(
         raise ValueError("need one residue per position")
     if x < 1:
         raise ValueError("x must be >= 1")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
     cidx = table.class_index(modulus)
-
-    def step(st, pos, p):
-        return st if p % modulus == res[pos] else None
-
-    def leaf(st, lo, hi):
-        return cidx.count(res[-1], lo, hi)
-
-    return _walk(table, x, k, mode is CountMode.SQUAREFREE, step, leaf, ())
+    return _count_labelled(table, x, k, strict, lambda p: p % modulus, cidx, res)
 
 
 @_table_memo

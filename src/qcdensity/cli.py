@@ -76,7 +76,11 @@ def _get_table(min_limit: int):
         else:
             if cached.limit >= limit:
                 return cached
-    table = build_spf_table(limit)
+    try:
+        table = build_spf_table(limit)
+    except ValueError as exc:
+        # over the entry budget: a runtime limit (exit 1), not a usage error
+        sys.exit(f"error: {exc}")
     if path:
         try:
             save_spf_cache(table, path)
@@ -129,10 +133,13 @@ def _cmd_primes(args, parser) -> int:
         if args.classes is not None
         else tuple(range(args.mod))
     )
-    counts = [
-        (a, prime_count_in_class(table, args.limit, a % args.mod, args.mod))
-        for a in requested
-    ]
+    try:
+        counts = [
+            (a, prime_count_in_class(table, args.limit, a % args.mod, args.mod))
+            for a in requested
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.format == "json":
         payload = {
             "classes": [{"count": c, "residue": a} for a, c in counts],

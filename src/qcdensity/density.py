@@ -4,11 +4,13 @@ Kronecker-symbol signs, with the classical asymptotic yardsticks.
 A sign constraint fixes epsilon_i in {+1, -1} per position of the sorted
 prime tuple of n; each prime must satisfy (D/p_i) = epsilon_i. Primes
 dividing D never match (their symbol is 0); p = 2 participates exactly when
-D is odd, since (D/2) = 0 for even D. Counting is a step/leaf pair on the
-prime-tuple walker of almostprime.py: the step keeps a leading prime when
-its symbol equals the position's sign, and the leaf counts the last position
-through the residue classes B(epsilon) mod Q, correcting for the finitely
-many primes dividing D whose class would otherwise be counted, and for p = 2.
+D is odd, since (D/2) = 0 for even D.
+
+Counting is the positional step/leaf pair of almostprime.py with the sign
+as label: the step evaluates (D/p) for each leading prime, and the leaf is
+one count on _sign_index, which holds the one sign-label rule. A prime is
+labelled +1 or -1 by the class B(+) or B(-) of p mod Q, except that each
+prime dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only).
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import kronecker, prime_divisors, squarefree_kernel
+import numpy as np
+
+from .arith import euler_phi, kronecker, prime_divisors, squarefree_kernel
 from .almostprime import (
     CountMode,
-    _walk,
+    _count_labelled,
     count_almost_primes,
     count_almost_primes_positional,
 )
 from .residues import residue_classes_direct
-from .sieve import SpfTable
+from .sieve import SpfTable, _ClassIndex, _table_memo
 
 MIN_ASYMPTOTIC_X = 16  # loglog x must be positive; e^e is just below 16
 
@@ -69,25 +73,36 @@ def landau_asymptotic(x: float, k: int) -> float:
 
 def class_constrained_asymptotic(x: float, k: int, modulus: int) -> float:
     """The per-residue-tuple version: the Landau size divided by phi(N)^k."""
-    from .arith import euler_phi
-
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     return landau_asymptotic(x, k) / euler_phi(modulus) ** k
 
 
 @lru_cache(maxsize=None)
-def _sign_classes(d: int, epsilon: int):
+def _sign_classes(d: int, epsilon: int) -> tuple[int, tuple[int, ...]]:
     rcs = residue_classes_direct(d, epsilon)
-    return rcs.modulus, rcs.classes, frozenset(rcs.classes)
+    return rcs.modulus, rcs.classes
 
 
-@lru_cache(maxsize=None)
-def _class_corrections(d: int):
-    """Odd primes dividing D that are units mod Q (even-exponent primes):
-    their Kronecker value is 0, but their residue class is in some B."""
-    q = _sign_classes(d, 1)[0]
-    return tuple(p for p in prime_divisors(d) if p != 2 and q % p != 0)
+def _sign(d: int, p: int, odd_only: bool) -> int:
+    """The sign label of the prime p: (D/p), or 0 for p = 2 under odd_only."""
+    return 0 if odd_only and p == 2 else kronecker(d, p)
+
+
+@_table_memo
+def _sign_index(table: SpfTable, d: int, odd_only: bool) -> _ClassIndex:
+    """The table's primes labelled by _sign, read off the classes B(+1),
+    B(-1) mod Q; only the primes dividing 2D, where the symbol is not a
+    function of p mod Q, are evaluated one by one."""
+    q_mod, plus = _sign_classes(d, 1)
+    by_class = np.zeros(q_mod, dtype=np.int8)
+    by_class[list(plus)] = 1
+    by_class[list(_sign_classes(d, -1)[1])] = -1
+    labels = by_class[table.primes % q_mod]
+    for p in prime_divisors(2 * d):
+        if p <= table.limit:
+            labels[np.searchsorted(table.primes, p)] = _sign(d, p, odd_only)
+    return _ClassIndex(table.primes, labels)
 
 
 def count_sign_constrained(
@@ -109,38 +124,12 @@ def count_sign_constrained(
     if x < 1:
         raise ValueError("x must be >= 1")
     d = constraint.discriminant
-    eps = constraint.epsilons
-    q_mod = _sign_classes(d, 1)[0]
-    class_sets = {1: _sign_classes(d, 1)[2], -1: _sign_classes(d, -1)[2]}
-    corrections = _class_corrections(d)
-    cidx = table.class_index(q_mod)
-
-    kron_cache: dict[int, int] = {}
-
-    def kron(p: int) -> int:
-        v = kron_cache.get(p)
-        if v is None:
-            v = kronecker(d, p)
-            kron_cache[p] = v
-        return v
-
-    def step(st, pos, p):
-        return st if (not odd_only or p != 2) and kron(p) == eps[pos] else None
-
-    def leaf(st, lo, hi):
-        want = eps[-1]
-        members = class_sets[want]
-        total = 0
-        for a in sorted(members):
-            total += cidx.count(a, lo, hi)
-        for p in corrections:
-            if lo < p <= hi and p % q_mod in members:
-                total -= 1
-        if not odd_only and d % 2 and lo < 2 <= hi and kron(2) == want:
-            total += 1
-        return total
-
-    return _walk(table, x, k, mode is CountMode.SQUAREFREE, step, leaf, ())
+    # the step evaluates the symbol and never reads the index's labels, so
+    # the residue-class rows of --cross-check stay an independent route
+    sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
+    index = _sign_index(table, d, odd_only)
+    strict = mode is CountMode.SQUAREFREE
+    return _count_labelled(table, x, k, strict, sign, index, constraint.epsilons)
 
 
 @dataclass(frozen=True)
@@ -158,6 +147,24 @@ class DensityRow:
     asymptotic_value: float | None
 
 
+def _row(x, k, d, constraint, count, reference, cells) -> DensityRow:
+    """A row whose prediction is one of `cells` equally likely cells: density
+    1/cells, asymptotic count the Landau size over cells."""
+    return DensityRow(
+        x=x,
+        k=k,
+        discriminant=d,
+        constraint=constraint,
+        exact_count=count,
+        reference_count=reference,
+        empirical_density=count / reference if reference else None,
+        predicted_density=1.0 / cells,
+        asymptotic_value=landau_asymptotic(x, k) / cells
+        if x >= MIN_ASYMPTOTIC_X
+        else None,
+    )
+
+
 def empirical_sign_density(
     table: SpfTable, x: int, k: int, constraint: SignConstraint
 ) -> DensityRow:
@@ -165,19 +172,8 @@ def empirical_sign_density(
     squarefree k-almost-prime count, with the 1/2^k prediction."""
     exact = count_sign_constrained(table, x, k, constraint)
     reference = count_almost_primes(table, x, k, None, CountMode.SQUAREFREE)
-    empirical = exact / reference if reference else None
-    asym = landau_asymptotic(x, k) / 2**k if x >= MIN_ASYMPTOTIC_X else None
-    return DensityRow(
-        x=x,
-        k=k,
-        discriminant=constraint.discriminant,
-        constraint=constraint.label(),
-        exact_count=exact,
-        reference_count=reference,
-        empirical_density=empirical,
-        predicted_density=0.5**k,
-        asymptotic_value=asym,
-    )
+    d, label = constraint.discriminant, constraint.label()
+    return _row(x, k, d, label, exact, reference, 2**k)
 
 
 def density_table(
@@ -209,56 +205,24 @@ def density_table(
             total += row.exact_count
             if cross_check:
                 rows.extend(_residue_rows(table, x, k, constraint))
-        rows.append(
-            DensityRow(
-                x=x,
-                k=k,
-                discriminant=d,
-                constraint="sum",
-                exact_count=total,
-                reference_count=reference,
-                empirical_density=total / reference if reference else None,
-                predicted_density=1.0,
-                asymptotic_value=landau_asymptotic(x, k)
-                if x >= MIN_ASYMPTOTIC_X
-                else None,
-            )
-        )
+        rows.append(_row(x, k, d, "sum", total, reference, 1))
     return rows
 
 
 def _residue_rows(
     table: SpfTable, x: int, k: int, constraint: SignConstraint
 ) -> list[DensityRow]:
-    from .arith import euler_phi
-
     d = constraint.discriminant
-    per_position = [
-        _sign_classes(d, e)[1] for e in constraint.epsilons
-    ]
+    per_position = [_sign_classes(d, e)[1] for e in constraint.epsilons]
     q_mod = _sign_classes(d, 1)[0]
-    phi_q = euler_phi(q_mod)
+    cells = euler_phi(q_mod) ** k
     reference = count_almost_primes(table, x, k, None, CountMode.SQUAREFREE)
     rows = []
     for combo in itertools.product(*per_position):
         count = count_almost_primes_positional(table, x, k, combo, q_mod)
         # semicolon between positions keeps the CSV at nine fields per row
         label = "m=" + ";".join(str(m) for m in combo) + f" mod {q_mod}"
-        rows.append(
-            DensityRow(
-                x=x,
-                k=k,
-                discriminant=d,
-                constraint=label,
-                exact_count=count,
-                reference_count=reference,
-                empirical_density=count / reference if reference else None,
-                predicted_density=1.0 / phi_q**k,
-                asymptotic_value=class_constrained_asymptotic(x, k, q_mod)
-                if x >= MIN_ASYMPTOTIC_X
-                else None,
-            )
-        )
+        rows.append(_row(x, k, d, label, count, reference, cells))
     return rows
 
 

@@ -1,11 +1,16 @@
 """Smallest-prime-factor sieve and prime counting.
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
-derives from it: the sorted prime list, prime counts (optionally restricted
-to a residue class), factorizations, and per-class log / reciprocal range
-sums used by the tuple-sum machinery. Tables round-trip through a small
-binary cache format: magic "SPF1", the limit as an 8-byte little-endian
-integer, then one 4-byte little-endian entry per n = 2..limit.
+derives from it: the sorted prime list, prime counts, and factorizations.
+Range queries go through a labelled prime index, _ClassIndex: the primes
+grouped by one integer label each, counting (or summing log p and 1/p over)
+the primes with a given label in lo < p <= hi. class_index(N) labels by
+p mod N; density.py labels by Kronecker sign. Indexes and counts are
+memoised in the table's memo dict, so they are freed with the table.
+
+Tables round-trip through a small binary cache format: magic "SPF1", the
+limit as an 8-byte little-endian integer, then one 4-byte little-endian
+entry per n = 2..limit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -33,21 +38,39 @@ class FactoredInteger:
         return all(e == 1 for _, e in self.factors)
 
 
-class _ClassIndex:
-    """Primes grouped by residue class mod N, with per-class log/recip arrays
-    built on first use (only the tuple sums read them).
+def _table_memo(fn):
+    """Cache fn(table, *args) in table.memo, so results live as long as the
+    table and no longer."""
 
-    Range sums are computed by summing the class slice directly; prefix-sum
+    @wraps(fn)
+    def cached(table: SpfTable, *args):
+        key = (fn, args)
+        if key not in table.memo:
+            table.memo[key] = fn(table, *args)
+        return table.memo[key]
+
+    return cached
+
+
+class _ClassIndex:
+    """The primes grouped by an integer label, ascending within each group,
+    with log/recip arrays built on first use (only the tuple sums read them).
+
+    Range sums are computed by summing the group slice directly; prefix-sum
     differences would carry absolute error on the order of the full prefix
     magnitude, which matters for the identity checks downstream.
     """
 
-    def __init__(self, primes: np.ndarray, modulus: int):
-        self.modulus = modulus
-        residues = (primes % modulus).astype(np.int64)
-        order = np.argsort(residues, kind="stable")
-        self._starts = np.searchsorted(residues[order], np.arange(modulus + 1))
+    def __init__(self, primes: np.ndarray, labels: np.ndarray):
+        order = np.argsort(labels, kind="stable")
         self._primes = primes[order]
+        grouped = labels[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        # label -> (first, one past last) position of its group
+        self._groups = {
+            int(grouped[i0]): (i0, i1)
+            for i0, i1 in zip([0] + cuts, cuts + [len(grouped)])
+        }
 
     @cached_property
     def _logs(self) -> np.ndarray:
@@ -57,22 +80,21 @@ class _ClassIndex:
     def _recips(self) -> np.ndarray:
         return 1.0 / self._primes.astype(np.float64)
 
-    def _bounds(self, residue: int, lo: int, hi: int) -> tuple[int, int]:
-        # primes p in the class with lo < p <= hi
-        i0 = int(self._starts[residue])
-        i1 = int(self._starts[residue + 1])
+    def _bounds(self, label: int, lo: int, hi: int) -> tuple[int, int]:
+        # primes p with this label and lo < p <= hi
+        i0, i1 = self._groups.get(label, (0, 0))
         seg = self._primes[i0:i1]
         j0 = i0 + int(np.searchsorted(seg, lo, side="right"))
         j1 = i0 + int(np.searchsorted(seg, hi, side="right"))
         return j0, j1
 
-    def count(self, residue: int, lo: int, hi: int) -> int:
-        j0, j1 = self._bounds(residue, lo, hi)
+    def count(self, label: int, lo: int, hi: int) -> int:
+        j0, j1 = self._bounds(label, lo, hi)
         return j1 - j0
 
-    def stats(self, residue: int, lo: int, hi: int) -> tuple[int, float, float]:
-        """(count, sum of log p, sum of 1/p) over class primes in (lo, hi]."""
-        j0, j1 = self._bounds(residue, lo, hi)
+    def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
+        """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
+        j0, j1 = self._bounds(label, lo, hi)
         if j1 <= j0:
             return 0, 0.0, 0.0
         return (
@@ -96,9 +118,7 @@ class SpfTable:
         width = np.arange(2, limit + 1, dtype=spf.dtype)
         self.primes = (np.nonzero(spf[2:] == width)[0] + 2).astype(np.int64)
         self._primes_list: list[int] | None = None
-        self._class_indexes: dict[int, _ClassIndex] = {}
-        # results of counts over this table, keyed by the call; owned here so
-        # they are freed with the table
+        # indexes and counts over this table, keyed by the call (_table_memo)
         self.memo: dict = {}
 
     @property
@@ -107,14 +127,12 @@ class SpfTable:
             self._primes_list = self.primes.tolist()
         return self._primes_list
 
+    @_table_memo
     def class_index(self, modulus: int) -> _ClassIndex:
+        """The primes labelled by their residue mod modulus."""
         if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
             raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
-        idx = self._class_indexes.get(modulus)
-        if idx is None:
-            idx = _ClassIndex(self.primes, modulus)
-            self._class_indexes[modulus] = idx
-        return idx
+        return _ClassIndex(self.primes, self.primes % modulus)
 
 
 def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:

@@ -92,6 +92,11 @@ def test_positional_matches_scan(table, mode):
         assert got == expected, residues
 
 
+def test_positional_rejects_modulus_below_one(table):
+    with pytest.raises(ValueError, match="modulus"):
+        q.count_almost_primes_positional(table, 100, 1, (1,), 0)
+
+
 def test_positional_with_multiplicity_example(table):
     # 9, 21, 33, 49, 57, 69, 77, 93
     got = q.count_almost_primes_positional(

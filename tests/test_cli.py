@@ -7,10 +7,18 @@ import sys
 
 import pytest
 
+import qcdensity
+
+# the CLI under test is the package these tests import
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(qcdensity.__file__))
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("QCD_SPF_CACHE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")])
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -183,10 +191,26 @@ def test_out_flag_unwritable_path(tmp_path):
     ("table", "--x", "100,50", "--k", "1", "--disc", "5"),
     ("table", "--x", "50", "--k", "1", "--disc", "5", "--threads", "0"),
     ("residues", "--disc", "5", "--eps", "x"),
+    ("primes", "--limit", "100", "--mod", "100001"),
 ])
 def test_usage_errors_exit_two(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "--x", "1000000000", "--k", "1"),
+    ("primes", "--limit", "200000000"),
+    ("verify", "--x", "200000000"),
+])
+def test_table_over_budget_exits_one(args):
+    # the sieve refuses before it allocates: a runtime limit, not a usage error
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cache_created_and_reused(tmp_path):

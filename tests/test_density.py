@@ -84,6 +84,22 @@ def test_count_odd_only_matches_scan(table):
         assert got == expected, epsilons
 
 
+@pytest.mark.parametrize("d", [45, -9, 18, 20])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_matches_scan_where_primes_divide_2d(small_table, d, k):
+    """Primes dividing 2D, whose symbol is not read off their class mod Q:
+    3 has even exponent in 45, -9 and 18 (a unit class mod Q, symbol 0),
+    and D = 18, 20 are even ((D/2) = 0)."""
+    for mode, odd_only in itertools.product(CountMode, (False, True)):
+        for epsilons in itertools.product((1, -1), repeat=k):
+            constraint = SignConstraint(d, epsilons)
+            expected = _scan_signs(small_table, 1500, k, constraint, mode, odd_only)
+            got = q.count_sign_constrained(
+                small_table, 1500, k, constraint, mode, odd_only
+            )
+            assert got == expected, (mode, odd_only, epsilons)
+
+
 def test_count_frozen_values(table):
     assert q.count_sign_constrained(table, 50, 1, SignConstraint(5, (1,))) == 5
     assert q.count_sign_constrained(table, 50, 1, SignConstraint(5, (-1,))) == 9
