@@ -7,9 +7,15 @@ with p^(positions left) <= remaining budget, and answers the last position
 with one range query. A caller supplies a step/leaf pair. step(state, pos, p)
 returns the state after choosing p at position pos, or None to skip p. leaf
 (state, lo, hi) returns the contribution of the last prime pk in (lo, hi],
-a query on a labelled prime index of the sieve. The walker sums the leaves.
-It also enforces the one coverage rule, _coverage_need: a table must hold
-every prime up to x / 2^(k-1), the largest last-position value.
+a query on one of the sieve's two backends. The walker sums the leaves.
+It also enforces the coverage rule of the backend. A leaf on the labelled
+prime index needs every prime up to _coverage_need(x, k) = x / 2^(k-1), the
+largest last-position value. A leaf on the prime-count oracle needs only
+the primes up to isqrt(x), which bound every leading prime; hi is always
+x over the leading product, a value the oracle knows.
+
+Unconstrained counts are a leaf on the oracle (label None, every prime);
+residue-constrained and ordered counts stay on the labelled index.
 
 Positional counts (the i-th smallest prime has the i-th target label) are
 one step/leaf pair, _count_labelled, for residue labels p mod N here and for
@@ -79,7 +85,9 @@ def _coverage_need(x: int, k: int) -> int:
     return x // 2 ** (k - 1)
 
 
-def _walk(table: SpfTable, x: int, k: int, strict: bool, step, leaf, state):
+def _walk(
+    table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, need=None
+):
     """Walk the sorted prime tuples p1 <= ... <= pk (p1 < ... < pk when
     strict) with product <= x, and return the sum of the leaf values.
 
@@ -88,10 +96,15 @@ def _walk(table: SpfTable, x: int, k: int, strict: bool, step, leaf, state):
     for the child state; None skips p. The last position is one range query:
     leaf(state, lo, hi) gets the state after k-1 choices and the range
     lo < pk <= hi, where hi is x over the leading product and lo is the
-    previous prime (minus one when repeats are allowed; 1 when k = 1). hi
-    never exceeds _coverage_need(x, k), which the table must cover.
+    previous prime (minus one when repeats are allowed; 1 when k = 1).
+
+    need is how far the table must reach. By default it is
+    _coverage_need(x, k), the largest hi, for leaves that read the table's
+    own primes. A leaf on a prime-count oracle passes isqrt(x): every
+    leading prime is at most isqrt(x), and the oracle knows the rest.
     """
-    need = _coverage_need(x, k)
+    if need is None:
+        need = _coverage_need(x, k)
     if need > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
@@ -122,11 +135,12 @@ def _walk(table: SpfTable, x: int, k: int, strict: bool, step, leaf, state):
 
 
 def _count_labelled(
-    table: SpfTable, x: int, k: int, strict: bool, label, index, targets
+    table: SpfTable, x: int, k: int, strict: bool, label, index, targets, need=None
 ) -> int:
     """Sorted prime tuples with product <= x whose i-th prime p has
     label(p) == targets[i]. The leading positions call label; the last is
-    one index.count, so index must label the primes as label does."""
+    one index.count, so index must label the primes as label does. need
+    goes to _walk."""
 
     def step(st, pos, p):
         return st if label(p) == targets[pos] else None
@@ -134,12 +148,22 @@ def _count_labelled(
     def leaf(st, lo, hi):
         return index.count(targets[-1], lo, hi)
 
-    return _walk(table, x, k, strict, step, leaf, ())
+    return _walk(table, x, k, strict, step, leaf, (), need)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
     i = values.index(v)
     return values[:i] + values[i + 1 :]
+
+
+@_table_memo
+def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
+    """Sorted prime tuples with product <= x, every last prime counted by
+    the prime-count oracle (label None for every prime)."""
+    oracle = table.prime_count_oracle(x)
+    return _count_labelled(
+        table, x, k, strict, lambda p: None, oracle, (None,) * k, math.isqrt(x)
+    )
 
 
 @_table_memo
@@ -179,9 +203,10 @@ def count_almost_primes(
         raise ValueError("k must be >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
+    strict = mode is CountMode.SQUAREFREE
     if constraint is None:
-        constraint = ResidueConstraint(1, (0,) * k)
-    elif constraint.k != k:
+        return _unconstrained_count(table, x, k, strict)
+    if constraint.k != k:
         raise ValueError("constraint length must equal k")
     return _sorted_count(
         table,
@@ -189,7 +214,7 @@ def count_almost_primes(
         k,
         constraint.modulus,
         constraint.multiset(),
-        mode is CountMode.SQUAREFREE,
+        strict,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +36,7 @@ from .density import (
 from .quadratic import QuadraticForm, count_roots_bruteforce
 from .residues import residue_classes_direct
 from .sieve import (
+    _CLASS_MODULUS_LIMIT,
     build_spf_table,
     load_spf_cache,
     prime_count,
@@ -113,21 +115,27 @@ def _parse_eps(raw: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     return tuple(signs)
 
 
+def _check_modulus(modulus: int, parser: argparse.ArgumentParser) -> None:
+    # checked before the table is acquired, so a bad --mod costs no sieve
+    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
+        parser.error(f"--mod must be in 1..{_CLASS_MODULUS_LIMIT}")
+
+
 def _cmd_primes(args, parser) -> int:
     if args.limit < 2:
         parser.error("--limit must be >= 2")
+    if args.mod is not None:
+        _check_modulus(args.mod, parser)
+    elif args.classes is not None:
+        parser.error("--classes requires --mod")
     table = _get_table(args.limit)
     if args.mod is None:
-        if args.classes is not None:
-            parser.error("--classes requires --mod")
         total = prime_count(table, args.limit)
         if args.format == "json":
             _emit(_canonical_json({"count": total, "limit": args.limit}), args.out)
         else:
             _emit(f"{total}\n", args.out)
         return 0
-    if args.mod < 1:
-        parser.error("--mod must be >= 1")
     requested = (
         _parse_classes(args.classes, parser)
         if args.classes is not None
@@ -160,29 +168,37 @@ def _cmd_count(args, parser) -> int:
     if args.x < 1 or args.k < 1:
         parser.error("--x and --k must be >= 1")
     mode = _MODES[args.mode]
-    need = max(_coverage_need(args.x, args.k), args.limit or 2)
-    table = _get_table(need)
+    if args.eps is not None:
+        if args.disc is None:
+            parser.error("--eps requires --disc")
+        eps = _parse_eps(args.eps, parser)
+    elif args.classes is not None:
+        if args.mod is None:
+            parser.error("--classes requires --mod")
+        _check_modulus(args.mod, parser)
+        residues = _parse_classes(args.classes, parser)
+    elif args.mod is not None:
+        parser.error("--mod requires --classes")
+    # residue classes read the table's own primes; sign and unconstrained
+    # counts only its primes up to isqrt(x)
+    if args.classes is not None:
+        need = _coverage_need(args.x, args.k)
+    else:
+        need = math.isqrt(args.x)
+    table = _get_table(max(need, args.limit or 2))
     payload: dict = {"k": args.k, "mode": args.mode, "x": args.x}
     try:
         if args.eps is not None:
-            if args.disc is None:
-                parser.error("--eps requires --disc")
-            eps = _parse_eps(args.eps, parser)
             constraint = SignConstraint(args.disc, eps)
             value = count_sign_constrained(table, args.x, args.k, constraint, mode)
             payload["disc"] = args.disc
             payload["eps"] = args.eps
         elif args.classes is not None:
-            if args.mod is None:
-                parser.error("--classes requires --mod")
-            residues = _parse_classes(args.classes, parser)
             constraint = ResidueConstraint(args.mod, residues)
             value = count_almost_primes(table, args.x, args.k, constraint, mode)
             payload["classes"] = list(constraint.residues)
             payload["mod"] = args.mod
         else:
-            if args.mod is not None:
-                parser.error("--mod requires --classes")
             value = count_almost_primes(table, args.x, args.k, None, mode)
     except ValueError as exc:
         parser.error(str(exc))
@@ -202,8 +218,13 @@ def _cmd_table(args, parser) -> int:
         parser.error("--x must be an ascending list of positive integers")
     if args.k < 1:
         parser.error("--k must be >= 1")
-    need = max(_coverage_need(max(grid), args.k), args.limit or 2)
-    table = _get_table(need)
+    # the residue-class rows of --cross-check read the table's own primes;
+    # the sign and reference counts only its primes up to isqrt(x)
+    if args.cross_check:
+        need = _coverage_need(max(grid), args.k)
+    else:
+        need = math.isqrt(max(grid))
+    table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()
     rows = []
     completed = 0

@@ -8,9 +8,14 @@ D is odd, since (D/2) = 0 for even D.
 
 Counting is the positional step/leaf pair of almostprime.py with the sign
 as label: the step evaluates (D/p) for each leading prime, and the leaf is
-one count on _sign_index, which holds the one sign-label rule. A prime is
-labelled +1 or -1 by the class B(+) or B(-) of p mod Q, except that each
-prime dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only).
+one count on _sign_oracle, the prime-count oracle for (x, D, odd_only),
+which holds the one sign-label rule. A prime is labelled +1 or -1 by the
+class B(+) or B(-) of p mod Q, that is by the real character chi mod Q,
+except that each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when
+odd_only). The oracle needs the table's primes only up to isqrt(x). The
+unconstrained reference counts use the same oracle; the residue-class rows
+of a cross-check run on the labelled prime index, so they need the primes
+up to x / 2^(k-1) and check the sign rows by an independent route.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .almostprime import (
     count_almost_primes_positional,
 )
 from .residues import residue_classes_direct
-from .sieve import SpfTable, _ClassIndex, _table_memo
+from .sieve import SpfTable, _PrimeCountOracle, _table_memo
 
 MIN_ASYMPTOTIC_X = 16  # loglog x must be positive; e^e is just below 16
 
@@ -90,19 +95,17 @@ def _sign(d: int, p: int, odd_only: bool) -> int:
 
 
 @_table_memo
-def _sign_index(table: SpfTable, d: int, odd_only: bool) -> _ClassIndex:
-    """The table's primes labelled by _sign, read off the classes B(+1),
-    B(-1) mod Q; only the primes dividing 2D, where the symbol is not a
-    function of p mod Q, are evaluated one by one."""
+def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCountOracle:
+    """Counts of the primes labelled by _sign at every v in {x // m}: the
+    character chi mod Q is read off the classes B(+1), B(-1), and only the
+    primes dividing 2D, where the label is not chi(p), are evaluated one by
+    one."""
     q_mod, plus = _sign_classes(d, 1)
-    by_class = np.zeros(q_mod, dtype=np.int8)
-    by_class[list(plus)] = 1
-    by_class[list(_sign_classes(d, -1)[1])] = -1
-    labels = by_class[table.primes % q_mod]
-    for p in prime_divisors(2 * d):
-        if p <= table.limit:
-            labels[np.searchsorted(table.primes, p)] = _sign(d, p, odd_only)
-    return _ClassIndex(table.primes, labels)
+    chi = np.zeros(q_mod, dtype=np.int8)
+    chi[list(plus)] = 1
+    chi[list(_sign_classes(d, -1)[1])] = -1
+    special = {p: _sign(d, p, odd_only) for p in prime_divisors(2 * d)}
+    return _PrimeCountOracle(table, x, chi, special)
 
 
 def count_sign_constrained(
@@ -124,12 +127,14 @@ def count_sign_constrained(
     if x < 1:
         raise ValueError("x must be >= 1")
     d = constraint.discriminant
-    # the step evaluates the symbol and never reads the index's labels, so
+    # the step evaluates the symbol and never reads the oracle's labels, so
     # the residue-class rows of --cross-check stay an independent route
     sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
-    index = _sign_index(table, d, odd_only)
+    oracle = _sign_oracle(table, x, d, odd_only)
     strict = mode is CountMode.SQUAREFREE
-    return _count_labelled(table, x, k, strict, sign, index, constraint.epsilons)
+    return _count_labelled(
+        table, x, k, strict, sign, oracle, constraint.epsilons, math.isqrt(x)
+    )
 
 
 @dataclass(frozen=True)

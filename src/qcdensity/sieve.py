@@ -2,20 +2,31 @@
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
-Range queries go through a labelled prime index, _ClassIndex: the primes
-grouped by one integer label each, counting (or summing log p and 1/p over)
-the primes with a given label in lo < p <= hi. class_index(N) labels by
-p mod N; density.py labels by Kronecker sign. Indexes and counts are
-memoised in the table's memo dict, so they are freed with the table.
+Range queries lo < p <= hi have two backends with one interface,
+count(label, lo, hi):
+
+- _ClassIndex, the labelled prime index: the table's primes grouped by one
+  integer label each (class_index(N) labels by p mod N), also summing log p
+  and 1/p. It reads the primes themselves, so hi must not pass the limit.
+- _PrimeCountOracle, for one x: Lucy_Hedgehog's recurrence (_prime_sums)
+  gives pi(v), and the prime sums of a real character chi, at every
+  v = x // m from the primes up to isqrt(x) alone. It counts every prime
+  (label None) or the primes labelled +-1 by chi, with listed exceptions
+  (density.py's Kronecker signs). Queries must have lo and hi in {x // m}.
+
+Indexes, oracles and counts are memoised in the table's memo dict, so they
+are freed with the table.
 
 Tables round-trip through a small binary cache format: magic "SPF1", the
 limit as an 8-byte little-endian integer, then one 4-byte little-endian
-entry per n = 2..limit.
+entry per n = 2..limit. The cache is written to a temporary file that then
+replaces the old one, so a failed write never leaves a torn cache.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -104,6 +115,114 @@ class _ClassIndex:
         )
 
 
+def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Sum of f(p) over the primes p <= v at every v in {x // m}, for f
+    completely multiplicative with period len(f) (f(n) = f[n % len(f)]).
+
+    Lucy_Hedgehog's recurrence: start from the sums of f(n) over 2 <= n <= v
+    and, for each prime p <= isqrt(x) (the given primes, ascending), take out
+    f(p) * (S(v // p) - S(p - 1)) at every v >= p^2. The result is laid out
+    as _PrimeCountOracle reads it: position v for v <= r = isqrt(x), and
+    position r + i for v = x // i, i = 1..r.
+    """
+    r = math.isqrt(x)
+    period = len(f)
+    f = f.astype(np.int64)
+    cumulative = np.concatenate(([0], np.cumsum(f[1:])))
+    per_period = int(f.sum())
+
+    def upto(v: np.ndarray) -> np.ndarray:
+        # sum of f(n) over 2 <= n <= v
+        return (v // period) * per_period + cumulative[v % period] - f[1 % period]
+
+    small = upto(np.arange(r + 1, dtype=np.int64))
+    small[:2] = 0
+    large = upto(x // np.arange(1, r + 1, dtype=np.int64))
+    large = np.concatenate(([0], large))  # large[i] is the sum at x // i
+    for p in primes.tolist():
+        fp = int(f[p % period])
+        if fp == 0:
+            continue
+        below = int(small[p - 1])
+        top = min(r, x // (p * p))
+        # x // (i p) is large[i p] while i p <= r, and small[...] beyond
+        split = min(top, r // p)
+        large[1 : split + 1] -= fp * (large[p : split * p + 1 : p] - below)
+        i = np.arange(split + 1, top + 1, dtype=np.int64)
+        large[split + 1 : top + 1] -= fp * (small[x // (i * p)] - below)
+        if p * p <= r:
+            v = np.arange(p * p, r + 1, dtype=np.int64)
+            small[p * p :] -= fp * (small[v // p] - below)
+    return np.concatenate((small, large[1:]))
+
+
+class _PrimeCountOracle:
+    """Prime counts at every v in {x // m}, the only values the walker's
+    last position asks for when the product is at most x: hi is x over the
+    leading product, and lo, a leading prime or one less, is at most
+    isqrt(x). Built from the table's primes up to isqrt(x).
+
+    Without chi, count(None, lo, hi) counts every prime in lo < p <= hi.
+    With chi, a character given by its period table, count(eps, lo, hi)
+    counts the primes labelled eps in {+1, -1}: a prime is labelled chi(p),
+    except the primes in special, which carry their own label. With pi' and
+    S' the count and the chi-sum over the primes outside special, and every
+    other prime having chi(p) = +-1, the primes up to v labelled eps number
+    (pi'(v) + eps S'(v)) / 2, plus the special primes up to v labelled eps.
+    """
+
+    def __init__(
+        self,
+        table: SpfTable,
+        x: int,
+        chi: np.ndarray | None = None,
+        special: dict[int, int] | None = None,
+    ):
+        self._x = x
+        self._r = math.isqrt(x)
+        pi = _prime_count_grid(table, x)
+        if chi is None:
+            self._cumulative = {None: memoryview(pi)}
+            return
+        chi_sums = _prime_sums(x, table.primes[: pi[self._r]], chi)
+        grid = np.concatenate(
+            (np.arange(self._r + 1), x // np.arange(1, self._r + 1))
+        )
+        pi = pi.copy()
+        added = {1: np.zeros_like(pi), -1: np.zeros_like(pi)}
+        for p, label in (special or {}).items():
+            reached = grid >= p
+            pi -= reached
+            chi_sums -= int(chi[p % len(chi)]) * reached
+            if label in added:
+                added[label] += reached
+        self._cumulative = {
+            eps: memoryview((pi + eps * chi_sums) // 2 + added[eps])
+            for eps in (1, -1)
+        }
+
+    def _position(self, v: int) -> int:
+        return v if v <= self._r else self._r + self._x // v
+
+    def count(self, label, lo: int, hi: int) -> int:
+        cumulative = self._cumulative[label]
+        return cumulative[self._position(hi)] - cumulative[self._position(lo)]
+
+
+@_table_memo
+def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
+    """pi(v) at every v in {x // m}, laid out as _prime_sums lays it out;
+    needs the primes up to isqrt(x)."""
+    r = math.isqrt(x)
+    if r > table.limit:
+        raise ValueError(
+            f"table limit {table.limit} too small for prime counts to x = {x}"
+            f" (need {r})"
+        )
+    primes = table.primes[: np.searchsorted(table.primes, r, side="right")]
+    return _prime_sums(x, primes, np.ones(1, dtype=np.int64))
+
+
 class SpfTable:
     """Smallest prime factors for 2..limit (spf[0] = spf[1] = 0)."""
 
@@ -126,6 +245,11 @@ class SpfTable:
         if self._primes_list is None:
             self._primes_list = self.primes.tolist()
         return self._primes_list
+
+    @_table_memo
+    def prime_count_oracle(self, x: int) -> _PrimeCountOracle:
+        """Every-prime counts at each v in {x // m} (label None)."""
+        return _PrimeCountOracle(self, x)
 
     @_table_memo
     def class_index(self, modulus: int) -> _ClassIndex:
@@ -198,11 +322,21 @@ def factorize(table: SpfTable, n: int) -> FactoredInteger:
 
 
 def save_spf_cache(table: SpfTable, path: str) -> None:
-    """Write the table in the binary cache format."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(np.ascontiguousarray(table.spf[2:], dtype="<u4").tobytes())
+    """Write the table in the binary cache format, atomically: the bytes go
+    to a temporary file in the same directory, which then replaces path, so
+    a failed write leaves any earlier cache as it was."""
+    # one writer per process id, so concurrent writers never share the file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", table.limit))
+            fh.write(np.ascontiguousarray(table.spf[2:], dtype="<u4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_spf_cache(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:

@@ -2,11 +2,15 @@
 pass/fail line. Tolerances and grids are pinned here and nowhere else.
 
 Runtime-bounded checks time the computation itself (table construction is
-shared session setup and excluded, as the bounds assume a warm table).
+shared session setup and excluded, as the bounds assume a warm table),
+except criterion 11, which times whole CLI runs in fresh processes.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -182,3 +186,65 @@ def test_criterion_10_landau_trend(big_table):
     trend = " -> ".join(f"{r:.4f}" for r in ratios)
     ok = 0.8 <= ratios[-1] <= 1.6
     _report(10, ok, f"ratio at 1e7 {ratios[-1]:.4f} in [0.8,1.6]; trend {trend} (reported)")
+
+
+# squarefree semiprimes up to x: A066265(x) - pi(sqrt x)
+_SQUAREFREE_SEMIPRIMES = {
+    10**8: 17426029,
+    10**9: 160785135,
+    10**10: 1493766851,
+}
+
+
+def _run_measured(args, out_path):
+    """Run the CLI in a fresh process: (exit code, stdout, wall s, peak RSS MiB)."""
+    env = os.environ.copy()
+    env.pop("QCD_SPF_CACHE", None)
+    package_root = os.path.dirname(os.path.dirname(q.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    start = time.monotonic()
+    with open(out_path, "w") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcdensity", *args],
+            stdout=out,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+    # reaped here for its rusage; Popen is told the exit code
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.monotonic() - start
+    with open(out_path) as fh:
+        stdout = fh.read()
+    return proc.returncode, stdout, wall, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_criterion_11_sign_densities_to_ten_to_the_ten(tmp_path, k):
+    """Exact k = 2, 3 sign-density tables for D = 5 at x = 1e8, 1e9, 1e10,
+    each in a fresh process under 60 s and 200 MiB peak RSS."""
+    grid = sorted(_SQUAREFREE_SEMIPRIMES)
+    code, stdout, wall, rss = _run_measured(
+        ["table", "--x", ",".join(map(str, grid)), "--k", str(k), "--disc", "5"],
+        tmp_path / "table.csv",
+    )
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    sums_ok = len(rows) == len(grid) * (2**k + 1)
+    references = {}
+    for x in grid:
+        block = [r for r in rows if r[0] == str(x)]
+        signs = [int(r[4]) for r in block if r[3].startswith("eps=")]
+        totals = [int(r[4]) for r in block if r[3] == "sum"]
+        sums_ok = sums_ok and len(signs) == 2**k and totals == [sum(signs)]
+        references[x] = int(block[-1][5]) if block else None
+    reference_ok = k != 2 or references == _SQUAREFREE_SEMIPRIMES
+    ok = code == 0 and sums_ok and reference_ok and wall < 60 and rss < 200
+    _report(
+        11,
+        ok,
+        f"k={k} exit {code}, sign rows add up {sums_ok}, references "
+        + "/".join(str(references[x]) for x in grid)
+        + f", {wall:.1f}s (< 60s), {rss:.0f} MiB (< 200 MiB)",
+    )

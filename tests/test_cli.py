@@ -192,6 +192,10 @@ def test_out_flag_unwritable_path(tmp_path):
     ("table", "--x", "50", "--k", "1", "--disc", "5", "--threads", "0"),
     ("residues", "--disc", "5", "--eps", "x"),
     ("primes", "--limit", "100", "--mod", "100001"),
+    # the class modulus is range-checked before the table is acquired, so
+    # these exit 2 rather than building (or refusing) a table first
+    ("count", "--x", "1000000000", "--k", "1", "--mod", "100001", "--classes", "1"),
+    ("primes", "--limit", "200000000", "--mod", "100001"),
 ])
 def test_usage_errors_exit_two(args):
     proc = run_cli(*args)
@@ -199,7 +203,7 @@ def test_usage_errors_exit_two(args):
 
 
 @pytest.mark.parametrize("args", [
-    ("count", "--x", "1000000000", "--k", "1"),
+    ("count", "--x", "1000000000", "--k", "1", "--mod", "4", "--classes", "1"),
     ("primes", "--limit", "200000000"),
     ("verify", "--x", "200000000"),
 ])
@@ -211,6 +215,13 @@ def test_table_over_budget_exits_one(args):
     assert proc.stderr.startswith("error: ")
     assert "exceeds the budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unconstrained_count_needs_only_a_square_root_table():
+    # pi(10^9) from the primes up to 31622, far inside the entry budget
+    proc = run_cli("count", "--x", "1000000000", "--k", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "50847534\n"
 
 
 def test_cache_created_and_reused(tmp_path):

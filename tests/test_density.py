@@ -122,10 +122,16 @@ def test_sign_counts_include_the_prime_two(table):
     assert plus + minus == q.prime_count(table, 30)
 
 
-def test_count_requires_prime_coverage():
-    tiny = q.build_spf_table(100)
-    with pytest.raises(ValueError):
-        q.count_sign_constrained(tiny, 1000, 1, SignConstraint(5, (1,)))
+def test_count_requires_prime_coverage(table):
+    """A sign count at x needs the primes up to isqrt(x), no further."""
+    x, plus = 10**5, SignConstraint(5, (1,))
+    for limit in (100, math.isqrt(x) - 1):
+        with pytest.raises(ValueError):
+            q.count_sign_constrained(q.build_spf_table(limit), x, 1, plus)
+    short = q.build_spf_table(math.isqrt(x))
+    assert q.count_sign_constrained(
+        short, x, 1, plus
+    ) == q.count_sign_constrained(table, x, 1, plus)
 
 
 def test_positional_reduction_to_residue_boxes(table):

@@ -1,6 +1,7 @@
 """Smallest-prime-factor table, factorization, and the binary cache."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,23 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.limit == table.limit
     assert (loaded.spf == table.spf).all()
     assert loaded.primes_list == table.primes_list
+
+
+def test_failed_cache_write_keeps_the_earlier_cache(tmp_path):
+    path = tmp_path / "spf.bin"
+    q.save_spf_cache(q.build_spf_table(500), str(path))
+    before = path.read_bytes()
+
+    class FailingSpf:
+        # the header is written by then: the write fails midway
+        def __getitem__(self, key):
+            raise OSError("disk full")
+
+    broken = SimpleNamespace(limit=1000, spf=FailingSpf())
+    with pytest.raises(OSError):
+        q.save_spf_cache(broken, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spf.bin"]
 
 
 def test_cache_rejects_bad_magic(tmp_path):

@@ -1,6 +1,7 @@
 """Differential property test on random small inputs: every count built on
-the prime-tuple walker against a factorize-and-filter scan, and the two
-ordered-tuple walks against each other."""
+the prime-tuple walker against a factorize-and-filter scan, the prime-count
+oracle against the class index, and the two ordered-tuple walks against
+each other."""
 
 import math
 
@@ -25,7 +26,14 @@ def _cases(draw):
     modulus = draw(st.integers(1, 12))
     units = _units(modulus)
     residues = tuple(draw(st.sampled_from(units)) for _ in range(k))
-    d = draw(st.integers(-30, 30).filter(lambda d: d != 0))
+    # the fixed D have primes of 2D outside Q (45, -9, 18) or are odd with
+    # (D/2) != 0 (-1, 7, 45)
+    d = draw(
+        st.one_of(
+            st.sampled_from((45, -9, 18, 20, -1, 7)),
+            st.integers(-30, 30).filter(lambda d: d != 0),
+        )
+    )
     assume(not q.squarefree_kernel(d).is_perfect_square)
     eps = tuple(draw(st.sampled_from((1, -1))) for _ in range(k))
     return dict(
@@ -48,14 +56,31 @@ def test_walker_counts_match_scans(table, case):
     assert q.count_almost_primes(table, x, k, constraint, mode) == _scan_count(
         table, x, k, constraint, mode
     )
+    # the oracle's every-prime count against the modulus-1 class index
+    assert q.count_almost_primes(table, x, k, None, mode) == q.count_almost_primes(
+        table, x, k, ResidueConstraint(1, (0,) * k), mode
+    )
     assert q.count_almost_primes_positional(
         table, x, k, residues, modulus, mode
     ) == _scan_positional(table, x, k, residues, modulus, mode)
-    assert q.count_sign_constrained(
-        table, x, k, signs, mode, case["odd_only"]
-    ) == _scan_signs(table, x, k, signs, mode, case["odd_only"])
+    expected = _scan_signs(table, x, k, signs, mode, case["odd_only"])
+    assert (
+        q.count_sign_constrained(table, x, k, signs, mode, case["odd_only"])
+        == expected
+    )
+    # sign counts need only the primes up to isqrt(x)
+    short = q.build_spf_table(max(math.isqrt(x), 2))
+    assert (
+        q.count_sign_constrained(short, x, k, signs, mode, case["odd_only"])
+        == expected
+    )
     # the two ordered-tuple walks: run-length weights and the literal
     # character sum over every ordering
     assert q.ordered_tuple_count_via_characters(
         table, x, k, constraint
     ) == pytest.approx(q.ordered_tuple_count(table, x, k, constraint), abs=1e-6)
+
+
+def test_prime_count_at_ten_to_the_ten(table):
+    # pi(10^10) from the primes up to 10^5 = isqrt(10^10)
+    assert q.count_almost_primes(table, 10**10, 1) == 455052511
