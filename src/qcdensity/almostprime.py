@@ -8,11 +8,12 @@ with one range query. A caller supplies a step/leaf pair. step(state, pos, p)
 returns the state after choosing p at position pos, or None to skip p. leaf
 (state, lo, hi) returns the contribution of the last prime pk in (lo, hi],
 a query on one of the sieve's two backends. The walker sums the leaves.
-It also enforces the coverage rule of the backend. A leaf on the labelled
-prime index needs every prime up to _coverage_need(x, k) = x / 2^(k-1), the
-largest last-position value. A leaf on the prime-count oracle needs only
-the primes up to isqrt(x), which bound every leading prime; hi is always
-x over the leading product, a value the oracle knows.
+It also enforces the one coverage rule: the backend's reach, the largest hi
+it answers, must be at least _coverage_need(x, k) = x / 2^(k-1), the
+largest last-position value. The labelled prime index reaches the table's
+limit, so it needs every prime up to x / 2^(k-1). The prime-count oracle
+for x reaches x, and needs from the table only the primes up to
+isqrt(x), which bound every leading prime (sieve._oracle_need).
 
 Unconstrained counts are a leaf on the oracle (label None, every prime);
 residue-constrained and ordered counts stay on the labelled index.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from .arith import euler_phi
 from .characters import build_character_group
-from .sieve import SpfTable, _table_memo, prime_count
+from .sieve import SpfTable, _PrimeCountOracle, _table_memo, prime_count
 
 
 class CountMode(enum.Enum):
@@ -86,7 +87,7 @@ def _coverage_need(x: int, k: int) -> int:
 
 
 def _walk(
-    table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, need=None
+    table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, reach=None
 ):
     """Walk the sorted prime tuples p1 <= ... <= pk (p1 < ... < pk when
     strict) with product <= x, and return the sum of the leaf values.
@@ -97,15 +98,11 @@ def _walk(
     leaf(state, lo, hi) gets the state after k-1 choices and the range
     lo < pk <= hi, where hi is x over the leading product and lo is the
     previous prime (minus one when repeats are allowed; 1 when k = 1).
-
-    need is how far the table must reach. By default it is
-    _coverage_need(x, k), the largest hi, for leaves that read the table's
-    own primes. A leaf on a prime-count oracle passes isqrt(x): every
-    leading prime is at most isqrt(x), and the oracle knows the rest.
+    hi never exceeds _coverage_need(x, k), which reach, the largest hi the
+    leaf's backend answers, must cover; by default the table's limit.
     """
-    if need is None:
-        need = _coverage_need(x, k)
-    if need > table.limit:
+    need = _coverage_need(x, k)
+    if need > (table.limit if reach is None else reach):
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
         )
@@ -135,12 +132,11 @@ def _walk(
 
 
 def _count_labelled(
-    table: SpfTable, x: int, k: int, strict: bool, label, index, targets, need=None
+    table: SpfTable, x: int, k: int, strict: bool, label, index, targets
 ) -> int:
     """Sorted prime tuples with product <= x whose i-th prime p has
     label(p) == targets[i]. The leading positions call label; the last is
-    one index.count, so index must label the primes as label does. need
-    goes to _walk."""
+    one index.count, so index must label the primes as label does."""
 
     def step(st, pos, p):
         return st if label(p) == targets[pos] else None
@@ -148,7 +144,7 @@ def _count_labelled(
     def leaf(st, lo, hi):
         return index.count(targets[-1], lo, hi)
 
-    return _walk(table, x, k, strict, step, leaf, (), need)
+    return _walk(table, x, k, strict, step, leaf, (), index.reach)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -160,10 +156,8 @@ def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
 def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
     """Sorted prime tuples with product <= x, every last prime counted by
     the prime-count oracle (label None for every prime)."""
-    oracle = table.prime_count_oracle(x)
-    return _count_labelled(
-        table, x, k, strict, lambda p: None, oracle, (None,) * k, math.isqrt(x)
-    )
+    oracle = _PrimeCountOracle(table, x)
+    return _count_labelled(table, x, k, strict, lambda p: None, oracle, (None,) * k)
 
 
 @_table_memo

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -37,6 +36,7 @@ from .quadratic import QuadraticForm, count_roots_bruteforce
 from .residues import residue_classes_direct
 from .sieve import (
     _CLASS_MODULUS_LIMIT,
+    _oracle_need,
     build_spf_table,
     load_spf_cache,
     prime_count,
@@ -89,6 +89,20 @@ def _get_table(min_limit: int):
         except OSError as exc:
             print(f"warning: could not write SPF cache {path}: {exc}", file=sys.stderr)
     return table
+
+
+def _table_need(x: int, k: int, oracle: bool, classes: bool) -> int:
+    """The table limit a count at x needs: the prime-count oracle (sign and
+    unconstrained counts) reads its primes up to isqrt(x), the residue
+    classes its primes up to x / 2^(k-1). An oracle over its work budget is
+    a runtime limit (exit 1), as an oversized table is in _get_table."""
+    need = _coverage_need(x, k) if classes else 0
+    if oracle:
+        try:
+            need = max(need, _oracle_need(x))
+        except ValueError as exc:
+            sys.exit(f"error: {exc}")
+    return need
 
 
 def _parse_classes(raw: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
@@ -179,12 +193,8 @@ def _cmd_count(args, parser) -> int:
         residues = _parse_classes(args.classes, parser)
     elif args.mod is not None:
         parser.error("--mod requires --classes")
-    # residue classes read the table's own primes; sign and unconstrained
-    # counts only its primes up to isqrt(x)
-    if args.classes is not None:
-        need = _coverage_need(args.x, args.k)
-    else:
-        need = math.isqrt(args.x)
+    classes = args.classes is not None
+    need = _table_need(args.x, args.k, not classes, classes)
     table = _get_table(max(need, args.limit or 2))
     payload: dict = {"k": args.k, "mode": args.mode, "x": args.x}
     try:
@@ -218,12 +228,7 @@ def _cmd_table(args, parser) -> int:
         parser.error("--x must be an ascending list of positive integers")
     if args.k < 1:
         parser.error("--k must be >= 1")
-    # the residue-class rows of --cross-check read the table's own primes;
-    # the sign and reference counts only its primes up to isqrt(x)
-    if args.cross_check:
-        need = _coverage_need(max(grid), args.k)
-    else:
-        need = math.isqrt(max(grid))
+    need = _table_need(max(grid), args.k, True, args.cross_check)
     table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()
     rows = []

@@ -132,9 +132,7 @@ def count_sign_constrained(
     sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
     oracle = _sign_oracle(table, x, d, odd_only)
     strict = mode is CountMode.SQUAREFREE
-    return _count_labelled(
-        table, x, k, strict, sign, oracle, constraint.epsilons, math.isqrt(x)
-    )
+    return _count_labelled(table, x, k, strict, sign, oracle, constraint.epsilons)
 
 
 @dataclass(frozen=True)

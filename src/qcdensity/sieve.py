@@ -7,12 +7,16 @@ count(label, lo, hi):
 
 - _ClassIndex, the labelled prime index: the table's primes grouped by one
   integer label each (class_index(N) labels by p mod N), also summing log p
-  and 1/p. It reads the primes themselves, so hi must not pass the limit.
+  and 1/p. It reads the primes themselves, so its reach, the largest hi it
+  answers, is the table's limit.
 - _PrimeCountOracle, for one x: Lucy_Hedgehog's recurrence (_prime_sums)
   gives pi(v), and the prime sums of a real character chi, at every
-  v = x // m from the primes up to isqrt(x) alone. It counts every prime
-  (label None) or the primes labelled +-1 by chi, with listed exceptions
-  (density.py's Kronecker signs). Queries must have lo and hi in {x // m}.
+  v = x // m from the primes up to _oracle_need(x) = isqrt(x) alone. It
+  counts every prime (label None) or the primes labelled +-1 by chi, with
+  listed exceptions (density.py's Kronecker signs). Queries must have lo
+  and hi in {x // m}; its reach is x. The recurrence makes on the order of
+  x^(3/4) updates, and _oracle_need refuses x when that is over the entry
+  budget, as build_spf_table refuses a table of more entries.
 
 Indexes, oracles and counts are memoised in the table's memo dict, so they
 are freed with the table.
@@ -72,7 +76,8 @@ class _ClassIndex:
     magnitude, which matters for the identity checks downstream.
     """
 
-    def __init__(self, primes: np.ndarray, labels: np.ndarray):
+    def __init__(self, primes: np.ndarray, labels: np.ndarray, reach: int):
+        self.reach = reach
         order = np.argsort(labels, kind="stable")
         self._primes = primes[order]
         grouped = labels[order]
@@ -178,7 +183,7 @@ class _PrimeCountOracle:
         chi: np.ndarray | None = None,
         special: dict[int, int] | None = None,
     ):
-        self._x = x
+        self.reach = self._x = x
         self._r = math.isqrt(x)
         pi = _prime_count_grid(table, x)
         if chi is None:
@@ -209,11 +214,27 @@ class _PrimeCountOracle:
         return cumulative[self._position(hi)] - cumulative[self._position(lo)]
 
 
+def _oracle_need(x: int) -> int:
+    """The table limit a prime-count oracle for x needs: isqrt(x).
+
+    Raises ValueError when r * isqrt(r), r = isqrt(x), exceeds the entry
+    budget: that is about x^(3/4), and about twice the updates
+    Lucy_Hedgehog's recurrence makes (measured at x = 10^8 to 10^11).
+    """
+    r = math.isqrt(x)
+    work = r * math.isqrt(r)
+    if work > DEFAULT_MAX_ENTRIES:
+        raise ValueError(
+            f"prime counts to x = {x} need about x^(3/4) = {work} updates,"
+            f" which exceeds the budget of {DEFAULT_MAX_ENTRIES}"
+        )
+    return r
+
+
 @_table_memo
 def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
-    """pi(v) at every v in {x // m}, laid out as _prime_sums lays it out;
-    needs the primes up to isqrt(x)."""
-    r = math.isqrt(x)
+    """pi(v) at every v in {x // m}, laid out as _prime_sums lays it out."""
+    r = _oracle_need(x)
     if r > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for prime counts to x = {x}"
@@ -247,16 +268,11 @@ class SpfTable:
         return self._primes_list
 
     @_table_memo
-    def prime_count_oracle(self, x: int) -> _PrimeCountOracle:
-        """Every-prime counts at each v in {x // m} (label None)."""
-        return _PrimeCountOracle(self, x)
-
-    @_table_memo
     def class_index(self, modulus: int) -> _ClassIndex:
         """The primes labelled by their residue mod modulus."""
         if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
             raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
-        return _ClassIndex(self.primes, self.primes % modulus)
+        return _ClassIndex(self.primes, self.primes % modulus, self.limit)
 
 
 def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:

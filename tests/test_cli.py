@@ -217,6 +217,22 @@ def test_table_over_budget_exits_one(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("count", "--x", "9999999999999999", "--k", "1"),
+    ("count", "--x", "100000000000", "--k", "2", "--disc", "5", "--eps=+-"),
+    ("table", "--x", "1000,100000000000", "--k", "2", "--disc", "5"),
+])
+def test_prime_counts_over_budget_exit_one(args):
+    # about x^(3/4) recurrence updates against the entry budget, refused
+    # before any table or oracle is built
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: prime counts to x = ")
+    assert "exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unconstrained_count_needs_only_a_square_root_table():
     # pi(10^9) from the primes up to 31622, far inside the entry budget
     proc = run_cli("count", "--x", "1000000000", "--k", "1")

@@ -84,3 +84,9 @@ def test_walker_counts_match_scans(table, case):
 def test_prime_count_at_ten_to_the_ten(table):
     # pi(10^10) from the primes up to 10^5 = isqrt(10^10)
     assert q.count_almost_primes(table, 10**10, 1) == 455052511
+
+
+def test_prime_counts_over_the_work_budget_raise():
+    # r * isqrt(r) = 10^6 * 10^3 updates, r = isqrt(10^12), over 10^8
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        q.count_almost_primes(q.build_spf_table(10**6), 10**12, 1)
