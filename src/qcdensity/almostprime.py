@@ -15,18 +15,24 @@ limit, so it needs every prime up to x / 2^(k-1). The prime-count oracle
 for x reaches x, and needs from the table only the primes up to
 isqrt(x), which bound every leading prime (sieve._oracle_need).
 
-Unconstrained counts are a leaf on the oracle (label None, every prime);
-residue-constrained and ordered counts stay on the labelled index.
+Unconstrained counts and the sign counts of density.py are one step/leaf
+pair on the oracle, _count_labelled; residue-constrained, positional and
+ordered counts stay on the labelled index.
 
-Positional counts (the i-th smallest prime has the i-th target label) are
-one step/leaf pair, _count_labelled, for residue labels p mod N here and for
-the sign labels of density.py. A residue constraint is a multiset: an
-integer is counted when the residues of its prime tuple mod N match the
-constraint as multisets; the step removes each chosen prime's residue from
-the multiset. Ordered-tuple quantities weight each sorted tuple by its
-number of distinct orderings (k! over the factorials of its prime
-multiplicities), carried as run lengths in the step state. Counts that are
-asked for again are memoized in the table's own memo dict.
+Positional counts (the i-th smallest prime lies in the i-th target class
+mod N) come from one walk per (x, k, N, mode), _positional_ranges: its step
+appends each leading prime's residue to the state and skips nothing, and
+its leaf records the last-position range under that tuple of leading
+residues. A positional count is then a lookup: the primes of the last
+target class, counted over every range recorded under the leading targets.
+
+A residue constraint is a multiset: an integer is counted when the residues
+of its prime tuple mod N match the constraint as multisets; the step
+removes each chosen prime's residue from the multiset. Ordered-tuple
+quantities weight each sorted tuple by its number of distinct orderings (k!
+over the factorials of its prime multiplicities), carried as run lengths in
+the step state. Counts that are asked for again are memoized in the table's
+own memo dict.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .arith import euler_phi
 from .characters import build_character_group
@@ -86,6 +94,13 @@ def _coverage_need(x: int, k: int) -> int:
     return x // 2 ** (k - 1)
 
 
+@_table_memo
+def _leading_primes(table: SpfTable, bound: int) -> list[int]:
+    """The table's primes up to bound, as the Python ints the walker loops
+    over."""
+    return table.primes[: prime_count(table, min(bound, table.limit))].tolist()
+
+
 def _walk(
     table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, reach=None
 ):
@@ -99,14 +114,16 @@ def _walk(
     lo < pk <= hi, where hi is x over the leading product and lo is the
     previous prime (minus one when repeats are allowed; 1 when k = 1).
     hi never exceeds _coverage_need(x, k), which reach, the largest hi the
-    leaf's backend answers, must cover; by default the table's limit.
+    leaf's backend answers, must cover; by default the table's limit. A
+    leading prime p has p^2 <= x, so only the primes up to isqrt(x) are
+    looped over.
     """
     need = _coverage_need(x, k)
     if need > (table.limit if reach is None else reach):
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
         )
-    primes = table.primes_list
+    primes = _leading_primes(table, math.isqrt(x))
 
     def descend(budget: int, depth: int, lo_idx: int, lo_val: int, st):
         if depth == 1:
@@ -132,19 +149,21 @@ def _walk(
 
 
 def _count_labelled(
-    table: SpfTable, x: int, k: int, strict: bool, label, index, targets
+    table: SpfTable, x: int, k: int, strict: bool, label, oracle, targets
 ) -> int:
     """Sorted prime tuples with product <= x whose i-th prime p has
-    label(p) == targets[i]. The leading positions call label; the last is
-    one index.count, so index must label the primes as label does."""
+    label(p) == targets[i]: the sign counts of density.py and the
+    unconstrained counts, on a prime-count oracle. The leading positions
+    call label; the last is one oracle.count, so the oracle must label the
+    primes as label does."""
 
     def step(st, pos, p):
         return st if label(p) == targets[pos] else None
 
     def leaf(st, lo, hi):
-        return index.count(targets[-1], lo, hi)
+        return oracle.count(targets[-1], lo, hi)
 
-    return _walk(table, x, k, strict, step, leaf, (), index.reach)
+    return _walk(table, x, k, strict, step, leaf, (), oracle.reach)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -212,6 +231,29 @@ def count_almost_primes(
     )
 
 
+@_table_memo
+def _positional_ranges(
+    table: SpfTable, x: int, k: int, modulus: int, strict: bool
+) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """The last-position ranges lo < pk <= hi of every sorted prime tuple
+    with product <= x, as (lo, hi) int64 arrays keyed by the residues mod
+    modulus of its k - 1 leading primes."""
+    ranges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+
+    def step(leading, pos, p):
+        return leading + (p % modulus,)
+
+    def leaf(leading, lo, hi):
+        ranges.setdefault(leading, []).append((lo, hi))
+        return 0
+
+    _walk(table, x, k, strict, step, leaf, ())
+    return {
+        leading: tuple(np.array(bounds, dtype=np.int64).T)
+        for leading, bounds in ranges.items()
+    }
+
+
 def count_almost_primes_positional(
     table: SpfTable,
     x: int,
@@ -221,7 +263,15 @@ def count_almost_primes_positional(
     mode: CountMode = CountMode.SQUAREFREE,
 ) -> int:
     """Positional variant: the i-th smallest prime of n must lie in class
-    residues[i] mod modulus (sorted with multiplicity in that mode)."""
+    residues[i] mod modulus (sorted with multiplicity in that mode).
+
+    The count is a lookup into one walk per (x, k, modulus, mode), which
+    records the last-position ranges of every leading residue tuple. So a
+    lone call walks every leading tuple, about phi(modulus)^(k-1) times the
+    tuples that match; its one caller outside the tests, the cross-check
+    rows of density.py, asks for every residue tuple, and then the walk is
+    made once for all of them.
+    """
     if k < 1 or len(residues) != k:
         raise ValueError("need one residue per position")
     if x < 1:
@@ -231,7 +281,10 @@ def count_almost_primes_positional(
     strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
     cidx = table.class_index(modulus)
-    return _count_labelled(table, x, k, strict, lambda p: p % modulus, cidx, res)
+    bounds = _positional_ranges(table, x, k, modulus, strict).get(res[:-1])
+    if bounds is None:
+        return 0
+    return cidx.count_ranges(res[-1], *bounds)
 
 
 @_table_memo

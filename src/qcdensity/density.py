@@ -15,7 +15,10 @@ except that each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when
 odd_only). The oracle needs the table's primes only up to isqrt(x). The
 unconstrained reference counts use the same oracle; the residue-class rows
 of a cross-check run on the labelled prime index, so they need the primes
-up to x / 2^(k-1) and check the sign rows by an independent route.
+up to x / 2^(k-1) and check the sign rows by an independent route. Those
+rows are one positional count per residue combo, and every combo at one x
+is a lookup into the same walk (almostprime._positional_ranges), so the
+phi(Q)^k rows of an x cost one tuple walk, not one each.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ are freed with the table.
 Tables round-trip through a small binary cache format: magic "SPF1", the
 limit as an 8-byte little-endian integer, then one 4-byte little-endian
 entry per n = 2..limit. The cache is written to a temporary file that then
-replaces the old one, so a failed write never leaves a torn cache.
+replaces the old one, so a failed write never leaves a torn cache. Loading
+reads the payload straight into the table's array, with no copy, and
+rejects a file whose length does not match its limit or whose content
+fails cheap sieve checks (sampled smallest prime factors, pinned prime
+counts), so a corrupt cache is rebuilt rather than trusted.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ import numpy as np
 DEFAULT_MAX_ENTRIES = 10**8
 _MAGIC = b"SPF1"
 _CLASS_MODULUS_LIMIT = 10**5
+# the sieve marks, and SpfTable finds, its primes this many entries at a time
+_PRIME_SCAN_CHUNK = 1 << 16
+# a loaded cache's smallest prime factors are checked at this many points
+_CHECK_SAMPLES = 4096
+# pi(10^j) for j = 1..8, checked on a loaded cache up to its limit
+_PRIME_COUNTS_AT_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,14 @@ class _ClassIndex:
     def count(self, label: int, lo: int, hi: int) -> int:
         j0, j1 = self._bounds(label, lo, hi)
         return j1 - j0
+
+    def count_ranges(self, label: int, lo: np.ndarray, hi: np.ndarray) -> int:
+        """Primes with this label summed over the ranges lo[i] < p <= hi[i]."""
+        i0, i1 = self._groups.get(label, (0, 0))
+        seg = self._primes[i0:i1]
+        upto_hi = np.searchsorted(seg, hi, side="right")
+        upto_lo = np.searchsorted(seg, lo, side="right")
+        return int(upto_hi.sum() - upto_lo.sum())
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
@@ -244,6 +262,17 @@ def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
     return _prime_sums(x, primes, np.ones(1, dtype=np.int64))
 
 
+def _fixed_points(spf: np.ndarray) -> np.ndarray:
+    """The n >= 2 with spf[n] == n, ascending, as int64. The comparison runs
+    a chunk at a time, so no temporary as long as the table is made."""
+    found = []
+    for start in range(2, len(spf), _PRIME_SCAN_CHUNK):
+        chunk = spf[start : start + _PRIME_SCAN_CHUNK]
+        n = np.arange(start, start + len(chunk), dtype=spf.dtype)
+        found.append(np.flatnonzero(chunk == n) + start)
+    return np.concatenate(found).astype(np.int64, copy=False)
+
+
 class SpfTable:
     """Smallest prime factors for 2..limit (spf[0] = spf[1] = 0)."""
 
@@ -255,8 +284,7 @@ class SpfTable:
         self.limit = int(limit)
         self.spf = spf
         self.spf.setflags(write=False)
-        width = np.arange(2, limit + 1, dtype=spf.dtype)
-        self.primes = (np.nonzero(spf[2:] == width)[0] + 2).astype(np.int64)
+        self.primes = _fixed_points(spf)
         self._primes_list: list[int] | None = None
         # indexes and counts over this table, keyed by the call (_table_memo)
         self.memo: dict = {}
@@ -294,8 +322,12 @@ def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTa
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    remaining = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[remaining] = remaining
+    # the entries still 0 are the primes, their own smallest factor; filled
+    # a chunk at a time, as _fixed_points reads them
+    for start in range(2, limit + 1, _PRIME_SCAN_CHUNK):
+        chunk = spf[start : start + _PRIME_SCAN_CHUNK]
+        n = np.arange(start, start + len(chunk), dtype=spf.dtype)
+        np.copyto(chunk, n, where=chunk == 0)
     return SpfTable(limit, spf)
 
 
@@ -355,8 +387,33 @@ def save_spf_cache(table: SpfTable, path: str) -> None:
         raise
 
 
+def _sample_points(limit: int) -> np.ndarray:
+    """The n at which _check_content tests a table: evenly spaced in
+    2..limit."""
+    return np.unique(np.linspace(2, limit, _CHECK_SAMPLES).astype(np.int64))
+
+
+def _check_content(table: SpfTable) -> None:
+    """Raise ValueError unless the table looks like a sieve: at each sampled
+    n, spf[n] >= 2 divides n and is its own smallest prime factor, and pi
+    matches its known values at every power of ten up to the limit."""
+    n = _sample_points(table.limit)
+    s = table.spf[n].astype(np.int64)
+    # s >= 2 is checked before the division, and s | n before s indexes
+    if (s < 2).any() or (n % s).any() or (table.spf[s] != s).any():
+        raise ValueError("cache content is not a smallest-prime-factor table")
+    for j, expected in enumerate(_PRIME_COUNTS_AT_POWERS_OF_TEN, start=1):
+        if 10**j > table.limit:
+            break
+        got = prime_count(table, 10**j)
+        if got != expected:
+            raise ValueError(f"cache gives pi(10^{j}) = {got}, not {expected}")
+
+
 def load_spf_cache(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:
-    """Load a table written by save_spf_cache, validating magic and limit."""
+    """Load a table written by save_spf_cache. Raises ValueError on a bad
+    magic or limit, a payload that is short or over-long, or content that
+    fails _check_content."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -371,11 +428,12 @@ def load_spf_cache(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTabl
             raise ValueError(
                 f"cached table of {limit + 1} entries exceeds the budget of {max_entries}"
             )
-        payload = fh.read()
-    expected = 4 * (limit - 1)
-    if len(payload) != expected:
-        raise ValueError("cache payload length does not match limit")
-    entries = np.frombuffer(payload, dtype="<u4")
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    spf[2:] = entries
-    return SpfTable(int(limit), spf)
+        spf = np.zeros(limit + 1, dtype="<u4")
+        # the payload goes straight into the table's array, and must end
+        # the file
+        read = fh.readinto(spf[2:].view(np.uint8))
+        if read != 4 * (limit - 1) or fh.read(1):
+            raise ValueError("cache payload length does not match limit")
+    table = SpfTable(int(limit), spf)
+    _check_content(table)
+    return table

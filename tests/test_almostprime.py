@@ -4,6 +4,7 @@ Every counter is checked against a direct factorize-and-filter scan, so the
 fast enumeration and the scan must agree number by number.
 """
 
+import collections
 import gc
 import itertools
 import math
@@ -32,8 +33,10 @@ def _scan_count(table, x, k, constraint, mode):
     return hits
 
 
-def _scan_positional(table, x, k, residues, modulus, mode):
-    hits = 0
+def _positional_histogram(table, x, k, modulus, mode):
+    """How many n <= x with k prime factors have each tuple of residues mod
+    modulus, the i-th entry the residue of the i-th smallest prime."""
+    hist = collections.Counter()
     for n in range(2, x + 1):
         factors = q.factorize(table, n).factors
         if mode is CountMode.SQUAREFREE:
@@ -44,8 +47,12 @@ def _scan_positional(table, x, k, residues, modulus, mode):
             if sum(e for _, e in factors) != k:
                 continue
             slots = [p for p, e in factors for _ in range(e)]
-        hits += all(p % modulus == r for p, r in zip(slots, residues))
-    return hits
+        hist[tuple(p % modulus for p in slots)] += 1
+    return hist
+
+
+def _scan_positional(table, x, k, residues, modulus, mode):
+    return _positional_histogram(table, x, k, modulus, mode)[tuple(residues)]
 
 
 _GRID = [
@@ -201,6 +208,7 @@ def test_memoized_counts_do_not_keep_the_table_alive():
     constraint = ResidueConstraint(4, (1, 3))
     assert q.count_almost_primes(table, 1000, 2) > 0
     assert q.tuple_sums(table, 1000, 2, constraint).ordered_count > 0
+    assert q.count_almost_primes_positional(table, 1000, 2, (1, 3), 4) > 0
     ref = weakref.ref(table)
     del table
     gc.collect()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcdensity as q
+from qcdensity import sieve
 
 
 def _smallest_factor(n):
@@ -141,6 +142,50 @@ def test_cache_rejects_truncation(tmp_path):
     path.write_bytes(raw[:20])
     with pytest.raises(ValueError):
         q.load_spf_cache(str(path))
+
+
+def test_cache_rejects_an_over_long_payload(tmp_path):
+    table = q.build_spf_table(500)
+    path = tmp_path / "spf.bin"
+    q.save_spf_cache(table, str(path))
+    path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
+    with pytest.raises(ValueError, match="payload length"):
+        q.load_spf_cache(str(path))
+
+
+def _corrupt_entry(path, n, value):
+    # entry n sits after the 12-byte header, 4 bytes per n from 2
+    raw = bytearray(path.read_bytes())
+    raw[12 + 4 * (n - 2) : 12 + 4 * (n - 1)] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+def test_cache_content_checks(tmp_path):
+    limit = 20000
+    table = q.build_spf_table(limit)
+    path = tmp_path / "spf.bin"
+    q.save_spf_cache(table, str(path))
+    assert (q.load_spf_cache(str(path)).spf == table.spf).all()
+    sampled = [int(n) for n in sieve._sample_points(limit)]
+    assert len(sampled) > 4000 and sampled[0] == 2 and sampled[-1] == limit
+    # a sampled n divisible by the square of its smallest prime factor
+    composite = next(n for n in sampled if q.factorize(table, n).factors[0][1] > 1)
+    prime = next(n for n in sampled if table.spf[n] == n)
+    # a prime below 10^4 that only the pi(10^j) checks see
+    unsampled = next(p for p in reversed(_sieve(10**4)) if p not in sampled)
+    spf = int(table.spf[composite])
+    for n, value in [
+        (composite, spf ^ (1 << 30)),  # one flipped bit: no longer divides n
+        (composite, 0),
+        (composite, spf * spf),  # a divisor that is not a prime
+        (prime, 1),
+        (unsampled, 0),  # pi(10^4) = 1228
+        (unsampled, 2),
+    ]:
+        q.save_spf_cache(table, str(path))
+        _corrupt_entry(path, n, value)
+        with pytest.raises(ValueError):
+            q.load_spf_cache(str(path))
 
 
 def test_cache_honors_entry_budget(tmp_path):

@@ -1,8 +1,9 @@
 """Differential property test on random small inputs: every count built on
-the prime-tuple walker against a factorize-and-filter scan, the prime-count
-oracle against the class index, and the two ordered-tuple walks against
-each other."""
+the prime-tuple walker against a factorize-and-filter scan (positional
+counts for every residue tuple), the prime-count oracle against the class
+index, and the two ordered-tuple walks against each other."""
 
+import itertools
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import qcdensity as q
 from qcdensity import CountMode, ResidueConstraint, SignConstraint
 
-from test_almostprime import _scan_count, _scan_positional
+from test_almostprime import _positional_histogram, _scan_count
 from test_density import _scan_signs
 
 
@@ -51,7 +52,7 @@ def _cases(draw):
 def test_walker_counts_match_scans(table, case):
     x, k, mode = case["x"], case["k"], case["mode"]
     constraint, signs = case["constraint"], case["signs"]
-    residues, modulus = constraint.residues, constraint.modulus
+    modulus = constraint.modulus
 
     assert q.count_almost_primes(table, x, k, constraint, mode) == _scan_count(
         table, x, k, constraint, mode
@@ -60,9 +61,14 @@ def test_walker_counts_match_scans(table, case):
     assert q.count_almost_primes(table, x, k, None, mode) == q.count_almost_primes(
         table, x, k, ResidueConstraint(1, (0,) * k), mode
     )
-    assert q.count_almost_primes_positional(
-        table, x, k, residues, modulus, mode
-    ) == _scan_positional(table, x, k, residues, modulus, mode)
+    # every residue tuple, units or not (p = 2 under even N), from one walk
+    hist = _positional_histogram(table, x, k, modulus, mode)
+    positional = {
+        res: q.count_almost_primes_positional(table, x, k, res, modulus, mode)
+        for res in itertools.product(range(modulus), repeat=k)
+    }
+    assert positional == {res: hist[res] for res in positional}
+    assert sum(positional.values()) == q.count_almost_primes(table, x, k, None, mode)
     expected = _scan_signs(table, x, k, signs, mode, case["odd_only"])
     assert (
         q.count_sign_constrained(table, x, k, signs, mode, case["odd_only"])
