@@ -1,38 +1,35 @@
 """Counting k-almost-primes under residue constraints, and the ordered
 tuple sums behind the density estimates.
 
-Every count here, and the sign counts in density.py, is one walk: _walk
-descends the sorted prime tuples p1 <= ... <= pk with product <= x, pruning
-with p^(positions left) <= remaining budget, and answers the last position
-with one range query. A caller supplies a step/leaf pair. step(state, pos, p)
-returns the state after choosing p at position pos, or None to skip p. leaf
-(state, lo, hi) returns the contribution of the last prime pk in (lo, hi],
-a query on one of the sieve's two backends. The walker sums the leaves.
-It also enforces the one coverage rule: the backend's reach, the largest hi
-it answers, must be at least _coverage_need(x, k) = x / 2^(k-1), the
-largest last-position value. The labelled prime index reaches the table's
-limit, so it needs every prime up to x / 2^(k-1). The prime-count oracle
-for x reaches x, and needs from the table only the primes up to
-isqrt(x), which bound every leading prime (sieve._oracle_need).
+Every count here, and the sign counts in density.py, rests on one walker:
+_walk descends the sorted prime tuples p1 <= ... <= pk with product <= x,
+pruning with p^(positions left) <= remaining budget, and answers the last
+position with one range query. A caller supplies a step/leaf pair.
+step(state, pos, p) returns the state after choosing p at position pos, or
+None to skip p. leaf(state, lo, hi) returns the contribution of the last
+prime pk in (lo, hi]. The walker sums the leaves. It also enforces the one
+coverage rule: the backend's reach, the largest hi it answers, must be at
+least _coverage_need(x, k) = x / 2^(k-1), the largest last-position value.
+The labelled prime index reaches the table's limit, so it needs every prime
+up to x / 2^(k-1). The prime-count oracle for x reaches x, and needs from
+the table only the primes up to isqrt(x), which bound every leading prime
+(sieve._oracle_need).
 
-Unconstrained counts and the sign counts of density.py are one step/leaf
-pair on the oracle, _count_labelled; residue-constrained, positional and
-ordered counts stay on the labelled index.
+Integer counts are lookups into one recorded walk per (x, k, labelling,
+mode), _leading_ranges: its step appends label(p) and skips nothing, and
+its leaf records the range (lo, hi] under the tuple of leading labels. A
+count is one count_ranges query: the primes of the last target label, over
+the ranges recorded under the leading targets. Labelled by p mod N
+(_positional_ranges), the walk serves positional counts, and residue-multiset
+counts, which sum over the leading residue tuples inside the multiset,
+each with its one leftover class. Labelled by one constant, it serves
+unconstrained counts; by Kronecker sign, the sign counts of density.py.
 
-Positional counts (the i-th smallest prime lies in the i-th target class
-mod N) come from one walk per (x, k, N, mode), _positional_ranges: its step
-appends each leading prime's residue to the state and skips nothing, and
-its leaf records the last-position range under that tuple of leading
-residues. A positional count is then a lookup: the primes of the last
-target class, counted over every range recorded under the leading targets.
-
-A residue constraint is a multiset: an integer is counted when the residues
-of its prime tuple mod N match the constraint as multisets; the step
-removes each chosen prime's residue from the multiset. Ordered-tuple
-quantities weight each sorted tuple by its number of distinct orderings (k!
-over the factorials of its prime multiplicities), carried as run lengths in
-the step state. Counts that are asked for again are memoized in the table's
-own memo dict.
+The ordered-tuple float sums keep a step/leaf pair of their own,
+_ordered_stats, which sums in enumeration order and weights each sorted
+tuple by its number of distinct orderings (k! over the factorials of its
+prime multiplicities), carried as run lengths in the step state. Walks and
+counts that are asked for again are memoized in the table's own memo dict.
 """
 
 from __future__ import annotations
@@ -40,6 +37,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,58 +147,64 @@ def _walk(
     return descend(x, k, 0, 1, state)
 
 
-def _count_labelled(
-    table: SpfTable, x: int, k: int, strict: bool, label, oracle, targets
-) -> int:
-    """Sorted prime tuples with product <= x whose i-th prime p has
-    label(p) == targets[i]: the sign counts of density.py and the
-    unconstrained counts, on a prime-count oracle. The leading positions
-    call label; the last is one oracle.count, so the oracle must label the
-    primes as label does."""
+def _leading_ranges(
+    table: SpfTable, x: int, k: int, strict: bool, label, reach=None
+) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """The last-position ranges lo < pk <= hi of every sorted prime tuple
+    with product <= x, as (lo, hi) int64 arrays keyed by the labels of its
+    k - 1 leading primes. reach is that of the backend the ranges are
+    counted on, as in _walk."""
+    ranges: dict[tuple, array] = defaultdict(lambda: array("q"))
 
-    def step(st, pos, p):
-        return st if label(p) == targets[pos] else None
+    def step(leading, pos, p):
+        return leading + (label(p),)
 
-    def leaf(st, lo, hi):
-        return oracle.count(targets[-1], lo, hi)
+    def leaf(leading, lo, hi):
+        ranges[leading].extend((lo, hi))
+        return 0
 
-    return _walk(table, x, k, strict, step, leaf, (), oracle.reach)
+    _walk(table, x, k, strict, step, leaf, (), reach)
+    return {
+        leading: tuple(np.frombuffer(bounds, dtype=np.int64).reshape(-1, 2).T)
+        for leading, bounds in ranges.items()
+    }
 
 
-def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
-    i = values.index(v)
-    return values[:i] + values[i + 1 :]
+def _count_recorded(ranges: dict, targets: tuple, backend) -> int:
+    """The primes labelled targets[-1] on the backend, summed over the ranges
+    recorded under the leading targets."""
+    bounds = ranges.get(targets[:-1])
+    return 0 if bounds is None else backend.count_ranges(targets[-1], *bounds)
 
 
 @_table_memo
 def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
-    """Sorted prime tuples with product <= x, every last prime counted by
-    the prime-count oracle (label None for every prime)."""
+    """Sorted prime tuples with product <= x, on the prime-count oracle (label
+    None), built before the walk so that a short table raises first."""
     oracle = _PrimeCountOracle(table, x)
-    return _count_labelled(table, x, k, strict, lambda p: None, oracle, (None,) * k)
+    ranges = _leading_ranges(table, x, k, strict, lambda p: None, oracle.reach)
+    return _count_recorded(ranges, (None,) * k, oracle)
 
 
 @_table_memo
+def _positional_ranges(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """_leading_ranges labelled by the residue mod modulus."""
+    return _leading_ranges(table, x, k, strict, lambda p: p % modulus)
+
+
 def _sorted_count(
-    table: SpfTable,
-    x: int,
-    k: int,
-    modulus: int,
-    residues: tuple[int, ...],
-    strict: bool,
+    table: SpfTable, x: int, k: int, modulus: int, residues: tuple, strict: bool
 ) -> int:
     """Sorted prime tuples with product <= x whose residues mod modulus match
-    the multiset `residues`; strict means distinct primes."""
+    the multiset `residues`; strict means distinct primes. Each leading
+    residue tuple inside `residues` adds the primes of the one class left."""
     cidx = table.class_index(modulus)
-
-    def step(remaining, pos, p):
-        r = p % modulus
-        return _remove_one(remaining, r) if r in remaining else None
-
-    def leaf(remaining, lo, hi):
-        return cidx.count(remaining[0], lo, hi)
-
-    return _walk(table, x, k, strict, step, leaf, residues)
+    want, total = Counter(residues), 0
+    for leading, bounds in _positional_ranges(table, x, k, modulus, strict).items():
+        left = want - Counter(leading)
+        if sum(left.values()) == 1:
+            total += cidx.count_ranges(*left, *bounds)
+    return total
 
 
 def count_almost_primes(
@@ -221,37 +226,8 @@ def count_almost_primes(
         return _unconstrained_count(table, x, k, strict)
     if constraint.k != k:
         raise ValueError("constraint length must equal k")
-    return _sorted_count(
-        table,
-        x,
-        k,
-        constraint.modulus,
-        constraint.multiset(),
-        strict,
-    )
-
-
-@_table_memo
-def _positional_ranges(
-    table: SpfTable, x: int, k: int, modulus: int, strict: bool
-) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """The last-position ranges lo < pk <= hi of every sorted prime tuple
-    with product <= x, as (lo, hi) int64 arrays keyed by the residues mod
-    modulus of its k - 1 leading primes."""
-    ranges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-
-    def step(leading, pos, p):
-        return leading + (p % modulus,)
-
-    def leaf(leading, lo, hi):
-        ranges.setdefault(leading, []).append((lo, hi))
-        return 0
-
-    _walk(table, x, k, strict, step, leaf, ())
-    return {
-        leading: tuple(np.array(bounds, dtype=np.int64).T)
-        for leading, bounds in ranges.items()
-    }
+    ms = constraint.multiset()
+    return _sorted_count(table, x, k, constraint.modulus, ms, strict)
 
 
 def count_almost_primes_positional(
@@ -270,7 +246,9 @@ def count_almost_primes_positional(
     lone call walks every leading tuple, about phi(modulus)^(k-1) times the
     tuples that match; its one caller outside the tests, the cross-check
     rows of density.py, asks for every residue tuple, and then the walk is
-    made once for all of them.
+    made once for all of them. Residue-multiset counts (count_almost_primes
+    with a constraint) read the same walk, so a lone `count --classes` walks
+    every leading tuple too.
     """
     if k < 1 or len(residues) != k:
         raise ValueError("need one residue per position")
@@ -281,10 +259,12 @@ def count_almost_primes_positional(
     strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
     cidx = table.class_index(modulus)
-    bounds = _positional_ranges(table, x, k, modulus, strict).get(res[:-1])
-    if bounds is None:
-        return 0
-    return cidx.count_ranges(res[-1], *bounds)
+    return _count_recorded(_positional_ranges(table, x, k, modulus, strict), res, cidx)
+
+
+def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
+    i = values.index(v)
+    return values[:i] + values[i + 1 :]
 
 
 @_table_memo

@@ -6,19 +6,21 @@ prime tuple of n; each prime must satisfy (D/p_i) = epsilon_i. Primes
 dividing D never match (their symbol is 0); p = 2 participates exactly when
 D is odd, since (D/2) = 0 for even D.
 
-Counting is the positional step/leaf pair of almostprime.py with the sign
-as label: the step evaluates (D/p) for each leading prime, and the leaf is
-one count on _sign_oracle, the prime-count oracle for (x, D, odd_only),
-which holds the one sign-label rule. A prime is labelled +1 or -1 by the
-class B(+) or B(-) of p mod Q, that is by the real character chi mod Q,
-except that each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when
-odd_only). The oracle needs the table's primes only up to isqrt(x). The
-unconstrained reference counts use the same oracle; the residue-class rows
-of a cross-check run on the labelled prime index, so they need the primes
-up to x / 2^(k-1) and check the sign rows by an independent route. Those
-rows are one positional count per residue combo, and every combo at one x
-is a lookup into the same walk (almostprime._positional_ranges), so the
-phi(Q)^k rows of an x cost one tuple walk, not one each.
+Counting is a lookup into one walk of almostprime.py per
+(x, k, D, odd_only, mode) that records its last-position ranges under the
+signs of the leading primes, each evaluated as (D/p) once per prime: a sign
+count is one count_ranges query on _sign_oracle, the prime-count oracle for
+(x, D, odd_only), over the ranges under eps[:-1]. The oracle holds the one
+sign-label rule. A prime is labelled +1 or -1 by the class B(+) or B(-) of
+p mod Q, that is by the real character chi mod Q, except that each prime
+dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only). The oracle
+needs the table's primes only up to isqrt(x). The unconstrained reference
+counts are a walk with one label for every prime, on the every-prime
+oracle. The residue-class rows of a cross-check run on the labelled prime
+index, so they need the primes up to x / 2^(k-1) and check the sign rows
+by an independent route. Their phi(Q)^k rows at one x are lookups into one
+walk labelled by residue (almostprime._positional_ranges), so a table
+costs two tuple walks per x, three with the cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 from .arith import euler_phi, kronecker, prime_divisors, squarefree_kernel
 from .almostprime import (
     CountMode,
-    _count_labelled,
+    _count_recorded,
+    _leading_ranges,
     count_almost_primes,
     count_almost_primes_positional,
 )
@@ -111,6 +114,15 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
     return _PrimeCountOracle(table, x, chi, special)
 
 
+@_table_memo
+def _sign_ranges(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
+    """almostprime._leading_ranges labelled by _sign, for the sign oracle
+    (reach x). The signs come from the symbol, never from the oracle, so the
+    residue-class rows of --cross-check stay an independent route."""
+    sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
+    return _leading_ranges(table, x, k, strict, sign, x)
+
+
 def count_sign_constrained(
     table: SpfTable,
     x: int,
@@ -124,18 +136,21 @@ def count_sign_constrained(
 
     odd_only drops even n even when D is odd (used when comparing against
     residue-class counts, which only ever see odd primes).
+
+    The count is a lookup into one walk per (x, k, D, odd_only, mode) over
+    every leading sign tuple, so a lone call walks about 2^(k-1) times the
+    tuples that match; density_table's 2^k sign rows at one x share it.
     """
     if k < 1 or constraint.k != k:
         raise ValueError("constraint length must equal k >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
     d = constraint.discriminant
-    # the step evaluates the symbol and never reads the oracle's labels, so
-    # the residue-class rows of --cross-check stay an independent route
-    sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
-    oracle = _sign_oracle(table, x, d, odd_only)
     strict = mode is CountMode.SQUAREFREE
-    return _count_labelled(table, x, k, strict, sign, oracle, constraint.epsilons)
+    # built first, so a table short of isqrt(x) raises before the walk
+    oracle = _sign_oracle(table, x, d, odd_only)
+    ranges = _sign_ranges(table, x, k, d, odd_only, strict)
+    return _count_recorded(ranges, constraint.epsilons, oracle)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
-Range queries lo < p <= hi have two backends with one interface,
-count(label, lo, hi):
+Range queries have two backends with one interface, count_ranges(label,
+lo, hi): the primes with that label over the ranges lo[i] < p <= hi[i].
 
 - _ClassIndex, the labelled prime index: the table's primes grouped by one
   integer label each (class_index(N) labels by p mod N), also summing log p
@@ -18,8 +18,8 @@ count(label, lo, hi):
   x^(3/4) updates, and _oracle_need refuses x when that is over the entry
   budget, as build_spf_table refuses a table of more entries.
 
-Indexes, oracles and counts are memoised in the table's memo dict, so they
-are freed with the table.
+Indexes, oracles, recorded walks and counts are memoised in the table's
+memo dict, so they are freed with the table.
 
 Tables round-trip through a small binary cache format: magic "SPF1", the
 limit as an 8-byte little-endian integer, then one 4-byte little-endian
@@ -185,13 +185,13 @@ class _PrimeCountOracle:
     leading product, and lo, a leading prime or one less, is at most
     isqrt(x). Built from the table's primes up to isqrt(x).
 
-    Without chi, count(None, lo, hi) counts every prime in lo < p <= hi.
-    With chi, a character given by its period table, count(eps, lo, hi)
-    counts the primes labelled eps in {+1, -1}: a prime is labelled chi(p),
-    except the primes in special, which carry their own label. With pi' and
-    S' the count and the chi-sum over the primes outside special, and every
-    other prime having chi(p) = +-1, the primes up to v labelled eps number
-    (pi'(v) + eps S'(v)) / 2, plus the special primes up to v labelled eps.
+    Without chi, every prime carries the label None. With chi, a character
+    given by its period table, the primes are labelled eps in {+1, -1}: a
+    prime is labelled chi(p), except the primes in special, which carry
+    their own label. With pi' and S' the count and the chi-sum over the
+    primes outside special, and every other prime having chi(p) = +-1, the
+    primes up to v labelled eps number (pi'(v) + eps S'(v)) / 2, plus the
+    special primes up to v labelled eps.
     """
 
     def __init__(
@@ -205,7 +205,7 @@ class _PrimeCountOracle:
         self._r = math.isqrt(x)
         pi = _prime_count_grid(table, x)
         if chi is None:
-            self._cumulative = {None: memoryview(pi)}
+            self._cumulative = {None: pi}
             return
         chi_sums = _prime_sums(x, table.primes[: pi[self._r]], chi)
         grid = np.concatenate(
@@ -220,16 +220,17 @@ class _PrimeCountOracle:
             if label in added:
                 added[label] += reached
         self._cumulative = {
-            eps: memoryview((pi + eps * chi_sums) // 2 + added[eps])
-            for eps in (1, -1)
+            eps: (pi + eps * chi_sums) // 2 + added[eps] for eps in (1, -1)
         }
 
-    def _position(self, v: int) -> int:
-        return v if v <= self._r else self._r + self._x // v
-
-    def count(self, label, lo: int, hi: int) -> int:
-        cumulative = self._cumulative[label]
-        return cumulative[self._position(hi)] - cumulative[self._position(lo)]
+    def count_ranges(self, label, lo: np.ndarray, hi: np.ndarray) -> int:
+        """Primes with this label summed over the ranges lo[i] < p <= hi[i],
+        every bound in {x // m}, so at least 1."""
+        cumulative, r, x = self._cumulative[label], self._r, self._x
+        upto_hi, upto_lo = (
+            int(cumulative[np.where(v <= r, v, r + x // v)].sum()) for v in (hi, lo)
+        )
+        return upto_hi - upto_lo
 
 
 def _oracle_need(x: int) -> int:
@@ -300,7 +301,9 @@ class SpfTable:
         """The primes labelled by their residue mod modulus."""
         if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
             raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
-        return _ClassIndex(self.primes, self.primes % modulus, self.limit)
+        # the narrowest label type: numpy radix-sorts 8- and 16-bit keys
+        labels = (self.primes % modulus).astype(np.min_scalar_type(modulus - 1))
+        return _ClassIndex(self.primes, labels, self.limit)
 
 
 def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:

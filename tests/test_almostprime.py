@@ -209,6 +209,7 @@ def test_memoized_counts_do_not_keep_the_table_alive():
     assert q.count_almost_primes(table, 1000, 2) > 0
     assert q.tuple_sums(table, 1000, 2, constraint).ordered_count > 0
     assert q.count_almost_primes_positional(table, 1000, 2, (1, 3), 4) > 0
+    assert q.count_sign_constrained(table, 1000, 2, q.SignConstraint(5, (-1, -1))) > 0
     ref = weakref.ref(table)
     del table
     gc.collect()

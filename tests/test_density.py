@@ -4,10 +4,11 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, SignConstraint
+from qcdensity import CountMode, SignConstraint, almostprime, density
 
 
 def test_sign_constraint_basics():
@@ -134,6 +135,26 @@ def test_count_requires_prime_coverage(table):
     ) == q.count_sign_constrained(table, x, 1, plus)
 
 
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_sign_oracle_matches_class_counts(table, odd_only):
+    """The sign oracle for D = 5 counts, over any ranges of bounds in
+    {x // m}, the primes of the classes B(+) or B(-) mod 20, plus the prime
+    2 with its own symbol (5/2) = -1 unless odd_only drops it."""
+    d, x = 5, 10**5
+    oracle = density._sign_oracle(table, x, d, odd_only)
+    bounds = np.array(sorted({x // m for m in range(1, x + 1)}), dtype=np.int64)
+    for eps in (1, -1):
+        rcs = q.residue_classes_direct(d, eps)
+        cidx = table.class_index(rcs.modulus)
+        for lo in bounds[bounds <= math.isqrt(x)]:
+            hi = bounds[bounds >= lo]
+            lo_a = np.full_like(hi, lo)
+            expected = sum(cidx.count_ranges(a, lo_a, hi) for a in rcs.classes)
+            if eps == -1 and not odd_only and lo < 2:
+                expected += int((hi >= 2).sum())
+            assert oracle.count_ranges(eps, lo_a, hi) == expected, (eps, lo)
+
+
 def test_positional_reduction_to_residue_boxes(table):
     """Sign tuples reduce to sums over per-position residue classes, exactly."""
     x, k = 10**4, 2
@@ -235,6 +256,24 @@ def test_density_table_cross_check_blocks(table):
             table, 500, 2, SignConstraint(5, signs), odd_only=True
         )
         assert box_totals[eps_row.constraint] == odd_count
+
+
+@pytest.mark.parametrize("cross_check,walks", [(False, 2), (True, 3)])
+def test_density_table_walks_the_tuples_once_per_labelling(
+    monkeypatch, cross_check, walks
+):
+    """At one x: one walk for every sign row, one for the reference, and one
+    for every cross-check row."""
+    calls = []
+    walk = almostprime._walk
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(almostprime, "_walk", counted)
+    q.density_table(q.build_spf_table(10**5), [10**5], 3, 5, cross_check)
+    assert len(calls) == walks
 
 
 def test_csv_output(table):

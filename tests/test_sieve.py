@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -214,3 +215,46 @@ def test_class_index_stats_match_direct_sums(table):
     assert count == len(primes)
     assert math.isclose(log_sum, sum(math.log(p) for p in primes), rel_tol=1e-12)
     assert math.isclose(recip_sum, sum(1 / p for p in primes), rel_tol=1e-12)
+
+
+def _quotient_bounds(x):
+    """Range bounds an oracle for x answers: every x // m, which includes
+    every v <= isqrt(x), and so every prime up to it."""
+    return np.array(sorted({x // m for m in range(1, x + 1)}), dtype=np.int64)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000, 4099, 65536, 10**5])
+def test_oracle_range_counts_match_the_class_index(table, x):
+    oracle = sieve._PrimeCountOracle(table, x)
+    every = table.class_index(1)
+    bounds = _quotient_bounds(x)
+    r = math.isqrt(x)
+    primes = [p for p in table.primes_list if p <= r]
+    # lo == hi, lo = 1, the primes up to r, and both sides of r
+    special = {1, r, x, *primes, *bounds[bounds <= r][-2:], *bounds[bounds > r][:2]}
+    special = sorted(v for v in special if v >= 1)
+    pairs = [(lo, hi) for lo in special for hi in special if lo <= hi]
+    for lo, hi in pairs:
+        lo_a, hi_a = np.array([lo]), np.array([hi])
+        assert oracle.count_ranges(None, lo_a, hi_a) == every.count_ranges(
+            0, lo_a, hi_a
+        ), (lo, hi)
+    # every pair of bounds in one query
+    lo_all, hi_all = np.meshgrid(bounds, bounds)
+    keep = lo_all <= hi_all
+    lo_all, hi_all = lo_all[keep], hi_all[keep]
+    assert oracle.count_ranges(None, lo_all, hi_all) == every.count_ranges(
+        0, lo_all, hi_all
+    )
+    empty = np.array([], dtype=np.int64)
+    assert oracle.count_ranges(None, empty, empty) == 0
+
+
+@pytest.mark.parametrize("modulus", [1, 255, 256, 257, 65536, 65537, 10**5])
+def test_class_index_labels_every_residue(table, modulus):
+    # labels are stored in the narrowest integer type that holds modulus - 1
+    idx = table.class_index(modulus)
+    residues = table.primes % modulus
+    for a in sorted({a % modulus for a in (1, 2, modulus - 1, int(residues[-1]))}):
+        expected = int(np.count_nonzero(residues == a))
+        assert idx.count(a, 0, table.limit) == expected, a
