@@ -359,6 +359,19 @@ def _distinct_reductions(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [_remove_one(multiset, v) for v in sorted(set(multiset))]
 
 
+def _reduced_reciprocal_sum(
+    table: SpfTable, xf: int, k: int, modulus: int, ms: tuple[int, ...]
+) -> float:
+    """The sum of the level-(k-1) reciprocal sums over the distinct
+    one-residue reductions of ms, the empty reduction contributing 1."""
+    if k == 1:
+        return 1.0
+    total = 0.0
+    for reduced in _distinct_reductions(ms):
+        total += _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
+    return total
+
+
 def tuple_sums(
     table: SpfTable, x: float, k: int, constraint: ResidueConstraint
 ) -> OrderedTupleSums:
@@ -373,12 +386,7 @@ def tuple_sums(
     ms = constraint.multiset()
     cnt, logs, recips = _ordered_stats(table, xf, k, n_mod, ms)
     phi = euler_phi(n_mod)
-    if k == 1:
-        reduced_recips = 1.0
-    else:
-        reduced_recips = 0.0
-        for reduced in _distinct_reductions(ms):
-            reduced_recips += _ordered_stats(table, xf, k - 1, n_mod, reduced)[2]
+    reduced_recips = _reduced_reciprocal_sum(table, xf, k, n_mod, ms)
     error = phi**k * logs - x * k * phi ** (k - 1) * reduced_recips
     return OrderedTupleSums(
         ordered_count=cnt,
@@ -452,6 +460,21 @@ def ordered_tuple_count_via_characters(
     return total.real
 
 
+def _recursion_term(
+    table: SpfTable, identity: str, xf: int, k: int, modulus: int, reduced: tuple
+):
+    """What the identity reads of tuple_sums(table, x/p, ..., reduced) with
+    floor(x/p) = xf: log_sum; the level-(k-1) reciprocal_sum (1.0 at k = 1);
+    or, for error_term, the (log_sum, reduced reciprocal sum) pair its
+    error_term is made of."""
+    if identity == "log_sum":
+        return _ordered_stats(table, xf, k, modulus, reduced)[1]
+    if identity == "reciprocal_sum":
+        return 1.0 if k == 1 else _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
+    logs = _ordered_stats(table, xf, k, modulus, reduced)[1]
+    return logs, _reduced_reciprocal_sum(table, xf, k, modulus, reduced)
+
+
 def recursion_residual(
     table: SpfTable,
     identity: str,
@@ -491,23 +514,30 @@ def recursion_residual(
     else:
         lhs = k * tuple_sums(table, x, k + 1, constraint).error_term
 
+    # the right-hand side at x/p depends on p only through floor(x/p) and
+    # the reduced multiset (and, for the error term, the exact x/p, applied
+    # here); the same float terms as tuple_sums gives are added in p order
     rhs = 0.0
+    terms = {}
+    phi_k, phi_k1 = phi**k, phi ** (k - 1)
     upto = int(prime_count(table, xf))
     for p in table.primes_list[:upto]:
         reduced = reductions.get(p % n_mod)
         if reduced is None:
             continue
-        child = ResidueConstraint(n_mod, reduced) if reduced else None
+        xp = x / p
+        key = (math.floor(xp), reduced)
+        term = terms.get(key)
+        if term is None:
+            term = _recursion_term(table, identity, key[0], k, n_mod, reduced)
+            terms[key] = term
         if identity == "log_sum":
-            rhs += tuple_sums(table, x / p, k, child).log_sum
+            rhs += term
         elif identity == "reciprocal_sum":
-            if k == 1:
-                inner = 1.0
-            else:
-                inner = tuple_sums(table, x / p, k - 1, child).reciprocal_sum
-            rhs += inner / p
+            rhs += term / p
         else:
-            rhs += tuple_sums(table, x / p, k, child).error_term
+            logs, reduced_recips = term
+            rhs += phi_k * logs - xp * k * phi_k1 * reduced_recips
     if identity == "log_sum":
         rhs *= k + 1
     elif identity == "error_term":

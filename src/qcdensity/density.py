@@ -20,7 +20,9 @@ oracle. The residue-class rows of a cross-check run on the labelled prime
 index, so they need the primes up to x / 2^(k-1) and check the sign rows
 by an independent route. Their phi(Q)^k rows at one x are lookups into one
 walk labelled by residue (almostprime._positional_ranges), so a table
-costs two tuple walks per x, three with the cross-check.
+costs two tuple walks per x, three with the cross-check. Once an x's rows
+are made, density_table drops that x's oracles, walks and counts from the
+table's memo, so a grid holds the entries of one x at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .almostprime import (
     count_almost_primes_positional,
 )
 from .residues import residue_classes_direct
-from .sieve import SpfTable, _PrimeCountOracle, _table_memo
+from .sieve import SpfTable, _PrimeCountOracle, _forget, _table_memo
 
 MIN_ASYMPTOTIC_X = 16  # loglog x must be positive; e^e is just below 16
 
@@ -227,6 +229,8 @@ def density_table(
             if cross_check:
                 rows.extend(_residue_rows(table, x, k, constraint))
         rows.append(_row(x, k, d, "sum", total, reference, 1))
+        # no later row reads this x's oracles, walks or counts
+        _forget(table, x)
     return rows
 
 

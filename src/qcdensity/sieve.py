@@ -19,7 +19,7 @@ lo, hi): the primes with that label over the ranges lo[i] < p <= hi[i].
   budget, as build_spf_table refuses a table of more entries.
 
 Indexes, oracles, recorded walks and counts are memoised in the table's
-memo dict, so they are freed with the table.
+memo dict, so they are freed with the table, or earlier by _forget.
 
 Tables round-trip through a small binary cache format: magic "SPF1", the
 limit as an 8-byte little-endian integer, then one 4-byte little-endian
@@ -75,6 +75,14 @@ def _table_memo(fn):
         return table.memo[key]
 
     return cached
+
+
+def _forget(table: SpfTable, x: int) -> None:
+    """Drop the memo entries of the calls whose first argument is x: the
+    oracles, recorded walks and counts made for one x all take x first. An
+    entry of another call that equals x by chance is only built again."""
+    for key in [key for key in table.memo if key[1][:1] == (x,)]:
+        del table.memo[key]
 
 
 class _ClassIndex:

@@ -178,53 +178,58 @@ def check_residues(table: SpfTable) -> list[CheckResult]:
 def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
     modulus coprime to the discriminant, plus the full-root-count flag."""
-    results = []
     n_max = min(n_max, table.limit)
-    for form in QUADRATIC_FORMS:
-        d = form.discriminant
-        problems = []
-        checked = 0
-        for n in range(1, n_max + 1, 2):
-            fi = factorize(table, n)
-            if not fi.is_squarefree():
+    # each odd squarefree modulus is factored once, for every form that has
+    # no counterexample yet
+    checked = [0] * len(QUADRATIC_FORMS)
+    problems: list[str | None] = [None] * len(QUADRATIC_FORMS)
+    for n in range(1, n_max + 1, 2):
+        fi = factorize(table, n)
+        if not fi.is_squarefree():
+            continue
+        for i, form in enumerate(QUADRATIC_FORMS):
+            if problems[i] or any(form.discriminant % p == 0 for p, _ in fi.factors):
                 continue
-            if any(d % p == 0 for p, _ in fi.factors):
-                continue
-            checked += 1
+            checked[i] += 1
             brute = count_roots_bruteforce(form, n)
             formula = count_roots_formula(form, fi)
             if formula != brute:
-                problems.append(f"count mismatch at n={n}: {formula} != {brute}")
-                break
-            if has_max_root_count(form, fi) != (brute == 2 ** len(fi.factors)):
-                problems.append(f"full-root flag wrong at n={n}")
-                break
-        passed = not problems
-        detail = (
-            f"{checked} moduli <= {n_max} compared"
-            if passed
-            else "; ".join(problems)
-        )
-        results.append(CheckResult("quadratic", f"D={d}", passed, detail))
+                problems[i] = f"count mismatch at n={n}: {formula} != {brute}"
+            elif has_max_root_count(form, fi) != (brute == 2 ** len(fi.factors)):
+                problems[i] = f"full-root flag wrong at n={n}"
+    results = []
+    for form, count, problem in zip(QUADRATIC_FORMS, checked, problems):
+        detail = problem or f"{count} moduli <= {n_max} compared"
+        d = form.discriminant
+        results.append(CheckResult("quadratic", f"D={d}", not problem, detail))
     return results
 
 
+def _prime_factor_counts(table: SpfTable, x_max: int) -> tuple[bytearray, bytearray]:
+    """The distinct and the with-multiplicity prime factor counts of every
+    n <= x_max, indexed by n, by direct factorization."""
+    omega, big_omega = bytearray(x_max + 1), bytearray(x_max + 1)
+    for n in range(2, x_max + 1):
+        factors = factorize(table, n).factors
+        omega[n] = len(factors)
+        big_omega[n] = sum(e for _, e in factors)
+    return omega, big_omega
+
+
 def _coprime_almost_counts(
-    table: SpfTable, x: int, modulus: int, k_max: int
+    factor_counts: tuple[bytearray, bytearray], x: int, modulus: int, k_max: int
 ) -> tuple[list[int], list[int]]:
     """(squarefree, with-multiplicity) k-almost-prime counts over n <= x
-    coprime to the modulus, by direct factorization."""
+    coprime to the modulus, from _prime_factor_counts."""
+    omega, big_omega = factor_counts
     squarefree = [0] * (k_max + 1)
     multiplicity = [0] * (k_max + 1)
     for n in range(2, x + 1):
-        if math.gcd(n, modulus) != 1:
+        if math.gcd(n, modulus) != 1 or big_omega[n] > k_max:
             continue
-        fi = factorize(table, n)
-        big_omega = sum(e for _, e in fi.factors)
-        if big_omega <= k_max:
-            multiplicity[big_omega] += 1
-            if big_omega == len(fi.factors):
-                squarefree[big_omega] += 1
+        multiplicity[big_omega[n]] += 1
+        if big_omega[n] == omega[n]:
+            squarefree[big_omega[n]] += 1
     return squarefree, multiplicity
 
 
@@ -237,9 +242,10 @@ def check_sandwich(table: SpfTable, x_max: int = 2000) -> list[CheckResult]:
     if not xs:
         raise ValueError("x_max must be at least 100 for the sandwich grid")
     results = []
+    factor_counts = _prime_factor_counts(table, max(xs))
     for n_mod in (1, 3, 4, 5, 8, 12):
         units = _units(n_mod)
-        reference = {x: _coprime_almost_counts(table, x, n_mod, 3) for x in xs}
+        reference = {x: _coprime_almost_counts(factor_counts, x, n_mod, 3) for x in xs}
         for k in (1, 2, 3):
             kf = math.factorial(k)
             problems = []

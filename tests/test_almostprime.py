@@ -251,6 +251,60 @@ def test_recursion_residuals_vanish(table, identity, modulus, k):
             assert residual < 1e-9, (identity, residues, x)
 
 
+def _reference_residual(table, identity, x, k, constraint):
+    """recursion_residual as one public tuple_sums call per prime p <= x."""
+    n_mod = constraint.modulus
+    phi = q.euler_phi(n_mod)
+    ms = constraint.multiset()
+    if identity == "log_sum":
+        lhs = k * q.tuple_sums(table, x, k + 1, constraint).log_sum
+    elif identity == "reciprocal_sum":
+        lhs = q.tuple_sums(table, x, k, constraint).reciprocal_sum
+    else:
+        lhs = k * q.tuple_sums(table, x, k + 1, constraint).error_term
+    rhs = 0.0
+    for p in table.primes_list[: q.prime_count(table, math.floor(x))]:
+        if p % n_mod not in ms:
+            continue
+        reduced = list(ms)
+        reduced.remove(p % n_mod)
+        child = ResidueConstraint(n_mod, tuple(reduced)) if reduced else None
+        if identity == "log_sum":
+            rhs += q.tuple_sums(table, x / p, k, child).log_sum
+        elif identity == "reciprocal_sum":
+            inner = 1.0
+            if k > 1:
+                inner = q.tuple_sums(table, x / p, k - 1, child).reciprocal_sum
+            rhs += inner / p
+        else:
+            rhs += q.tuple_sums(table, x / p, k, child).error_term
+    if identity == "log_sum":
+        rhs *= k + 1
+    elif identity == "error_term":
+        rhs *= (k + 1) * phi
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("identity", ["log_sum", "reciprocal_sum", "error_term"])
+@pytest.mark.parametrize("modulus", [4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_recursion_residual_is_bitwise_the_per_prime_tuple_sums(
+    table, identity, modulus, k
+):
+    """The residual adds the same floats in the same order as one tuple_sums
+    per prime would; the non-integer x keeps x/p exact in the error term. At
+    k <= 2 every factor k * phi^(k-1) is a power of two, so regrouping the
+    error term's product changes no bit there; at k = 3 it does."""
+    units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+    size = k if identity == "reciprocal_sum" else k + 1
+    for residues in itertools.combinations_with_replacement(units, size):
+        constraint = ResidueConstraint(modulus, residues)
+        for x in (100, 1000, 1000.5, 10**4):
+            got = q.recursion_residual(table, identity, x, k, constraint)
+            want = _reference_residual(table, identity, x, k, constraint)
+            assert got == want, (residues, x)
+
+
 def test_recursion_requires_known_identity(table):
     with pytest.raises(ValueError):
         q.recursion_residual(table, "nope", 100, 1, ResidueConstraint(4, (1, 3)))

@@ -276,6 +276,13 @@ def test_density_table_walks_the_tuples_once_per_labelling(
     assert len(calls) == walks
 
 
+def test_density_table_drops_each_x_from_the_memo():
+    """Once an x's rows are made, its oracles, walks and counts are freed."""
+    table = q.build_spf_table(10**5)
+    q.density_table(table, [10**4, 10**5], 3, 5)
+    assert [args for _, args in table.memo if args[:1] == (10**4,)] == []
+
+
 def test_csv_output(table):
     rows = q.density_table(table, [50], 2, 5)
     text = q.rows_to_csv(rows)

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 import qcdensity as q
-from qcdensity.verify import SUITES
+from qcdensity import verify
+from qcdensity.verify import SUITES, check_recursions, format_report
 
 
 def test_suite_names():
@@ -53,3 +54,42 @@ def test_check_results_are_immutable(table):
     result = q.run_suite(table, "residues", 500)[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.passed = False
+
+
+RECURSIONS_REPORT = """\
+PASS [recursions] log_sum N=4 k=1: max residual 5.85e-15 over 9 cases
+PASS [recursions] log_sum N=4 k=2: max residual 3.02e-15 over 12 cases
+PASS [recursions] reciprocal_sum N=4 k=1: max residual 2.30e-15 over 6 cases
+PASS [recursions] reciprocal_sum N=4 k=2: max residual 8.88e-16 over 9 cases
+PASS [recursions] error_term N=4 k=1: max residual 3.31e-15 over 9 cases
+PASS [recursions] error_term N=4 k=2: max residual 1.63e-15 over 12 cases
+PASS [recursions] log_sum N=5 k=1: max residual 9.68e-15 over 30 cases
+PASS [recursions] log_sum N=5 k=2: max residual 6.51e-15 over 60 cases
+PASS [recursions] reciprocal_sum N=5 k=1: max residual 1.11e-15 over 12 cases
+PASS [recursions] reciprocal_sum N=5 k=2: max residual 6.11e-16 over 30 cases
+PASS [recursions] error_term N=5 k=1: max residual 5.67e-15 over 30 cases
+PASS [recursions] error_term N=5 k=2: max residual 1.40e-14 over 60 cases
+12/12 checks passed
+"""
+
+
+def test_recursion_residuals_print_as_pinned(table):
+    """The printed residuals are float noise, so any reordering of the sums
+    behind them shows here first."""
+    assert format_report(check_recursions(table, 10**4)) == RECURSIONS_REPORT
+
+
+def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
+    """A form whose formula goes wrong fails at its first bad modulus; the
+    other forms still compare every modulus."""
+    expected = [r.detail for r in verify.check_quadratic(table, 500)]
+    formula = verify.count_roots_formula
+
+    def wrong_for_d5(form, fi):
+        return formula(form, fi) + (form.discriminant == 5 and fi.n >= 101)
+
+    monkeypatch.setattr(verify, "count_roots_formula", wrong_for_d5)
+    results = verify.check_quadratic(table, 500)
+    assert [r.name for r in results if not r.passed] == ["D=5"]
+    assert results[0].detail.startswith("count mismatch at n=101: ")
+    assert [r.detail for r in results[1:]] == expected[1:]
