@@ -11,9 +11,11 @@ prime pk in (lo, hi]. The walker sums the leaves. It also enforces the one
 coverage rule: the backend's reach, the largest hi it answers, must be at
 least _coverage_need(x, k) = x / 2^(k-1), the largest last-position value.
 The labelled prime index reaches the table's limit, so it needs every prime
-up to x / 2^(k-1). The prime-count oracle for x reaches x, and needs from
-the table only the primes up to isqrt(x), which bound every leading prime
-(sieve._oracle_need).
+up to x / 2^(k-1). A prime-count oracle for x reaches x, so its walks pass
+x as the reach. It is a lookup into counts its caller builds from the
+table's primes up to isqrt(x) (sieve._oracle_primes), which bound every
+leading prime too: here pi(v) (sieve._prime_count_grid) under the one label
+None; in density.py, the Kronecker sign counts.
 
 Integer counts are lookups into one recorded walk per (x, k, labelling,
 mode), _leading_ranges: its step appends label(p) and skips nothing, and
@@ -45,7 +47,13 @@ import numpy as np
 
 from .arith import euler_phi
 from .characters import build_character_group
-from .sieve import SpfTable, _PrimeCountOracle, _table_memo, prime_count
+from .sieve import (
+    SpfTable,
+    _PrimeCountOracle,
+    _prime_count_grid,
+    _table_memo,
+    prime_count,
+)
 
 
 class CountMode(enum.Enum):
@@ -93,13 +101,6 @@ def _coverage_need(x: int, k: int) -> int:
     return x // 2 ** (k - 1)
 
 
-@_table_memo
-def _leading_primes(table: SpfTable, bound: int) -> list[int]:
-    """The table's primes up to bound, as the Python ints the walker loops
-    over."""
-    return table.primes[: prime_count(table, min(bound, table.limit))].tolist()
-
-
 def _walk(
     table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, reach=None
 ):
@@ -122,7 +123,8 @@ def _walk(
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
         )
-    primes = _leading_primes(table, math.isqrt(x))
+    bound = min(math.isqrt(x), table.limit)
+    primes = table.primes[: prime_count(table, bound)].tolist()
 
     def descend(budget: int, depth: int, lo_idx: int, lo_val: int, st):
         if depth == 1:
@@ -181,8 +183,8 @@ def _count_recorded(ranges: dict, targets: tuple, backend) -> int:
 def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
     """Sorted prime tuples with product <= x, on the prime-count oracle (label
     None), built before the walk so that a short table raises first."""
-    oracle = _PrimeCountOracle(table, x)
-    ranges = _leading_ranges(table, x, k, strict, lambda p: None, oracle.reach)
+    oracle = _PrimeCountOracle(x, {None: _prime_count_grid(table, x)})
+    ranges = _leading_ranges(table, x, k, strict, lambda p: None, x)
     return _count_recorded(ranges, (None,) * k, oracle)
 
 

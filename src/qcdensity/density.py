@@ -9,20 +9,23 @@ D is odd, since (D/2) = 0 for even D.
 Counting is a lookup into one walk of almostprime.py per
 (x, k, D, odd_only, mode) that records its last-position ranges under the
 signs of the leading primes, each evaluated as (D/p) once per prime: a sign
-count is one count_ranges query on _sign_oracle, the prime-count oracle for
-(x, D, odd_only), over the ranges under eps[:-1]. The oracle holds the one
-sign-label rule. A prime is labelled +1 or -1 by the class B(+) or B(-) of
-p mod Q, that is by the real character chi mod Q, except that each prime
-dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only). The oracle
-needs the table's primes only up to isqrt(x). The unconstrained reference
-counts are a walk with one label for every prime, on the every-prime
-oracle. The residue-class rows of a cross-check run on the labelled prime
-index, so they need the primes up to x / 2^(k-1) and check the sign rows
-by an independent route. Their phi(Q)^k rows at one x are lookups into one
-walk labelled by residue (almostprime._positional_ranges), so a table
-costs two tuple walks per x, three with the cross-check. Once an x's rows
-are made, density_table drops that x's oracles, walks and counts from the
-table's memo, so a grid holds the entries of one x at a time.
+count is one count_ranges query on _sign_oracle, a prime-count oracle for
+(x, D, odd_only), over the ranges under eps[:-1]. This module owns the one
+sign-label rule, _sign, and builds the oracle's counts from it: a prime is
+labelled +1 or -1 by the class B(+) or B(-) of p mod Q, that is by the
+real character chi mod Q, except that each prime dividing 2D takes (D/p)
+itself (p = 2 takes 0 when odd_only). So the oracle's counts come from
+pi(v) and one prime sum of chi (sieve._prime_sums), with the primes
+dividing 2D moved to their own label; they need the table's primes only
+up to isqrt(x). The unconstrained reference counts are a walk with one
+label for every prime, on the every-prime oracle. The residue-class rows
+of a cross-check run on the labelled prime index, so they need the primes
+up to x / 2^(k-1) and check the sign rows by an independent route. Their
+phi(Q)^k rows at one x are lookups into one walk labelled by residue
+(almostprime._positional_ranges), so a table costs two tuple walks per x,
+three with the cross-check. Once an x's rows are made, density_table drops
+that x's oracles, walks and counts from the table's memo, so a grid holds
+the entries of one x at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import euler_phi, kronecker, prime_divisors, squarefree_kernel
 from .almostprime import (
     CountMode,
@@ -43,8 +44,17 @@ from .almostprime import (
     count_almost_primes,
     count_almost_primes_positional,
 )
-from .residues import residue_classes_direct
-from .sieve import SpfTable, _PrimeCountOracle, _forget, _table_memo
+from .residues import _unit_symbols, kronecker_period, residue_classes_direct
+from .sieve import (
+    SpfTable,
+    _PrimeCountOracle,
+    _forget,
+    _grid_values,
+    _oracle_primes,
+    _prime_count_grid,
+    _prime_sums,
+    _table_memo,
+)
 
 MIN_ASYMPTOTIC_X = 16  # loglog x must be positive; e^e is just below 16
 
@@ -91,12 +101,6 @@ def class_constrained_asymptotic(x: float, k: int, modulus: int) -> float:
     return landau_asymptotic(x, k) / euler_phi(modulus) ** k
 
 
-@lru_cache(maxsize=None)
-def _sign_classes(d: int, epsilon: int) -> tuple[int, tuple[int, ...]]:
-    rcs = residue_classes_direct(d, epsilon)
-    return rcs.modulus, rcs.classes
-
-
 def _sign(d: int, p: int, odd_only: bool) -> int:
     """The sign label of the prime p: (D/p), or 0 for p = 2 under odd_only."""
     return 0 if odd_only and p == 2 else kronecker(d, p)
@@ -104,16 +108,27 @@ def _sign(d: int, p: int, odd_only: bool) -> int:
 
 @_table_memo
 def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCountOracle:
-    """Counts of the primes labelled by _sign at every v in {x // m}: the
-    character chi mod Q is read off the classes B(+1), B(-1), and only the
-    primes dividing 2D, where the label is not chi(p), are evaluated one by
-    one."""
-    q_mod, plus = _sign_classes(d, 1)
-    chi = np.zeros(q_mod, dtype=np.int8)
-    chi[list(plus)] = 1
-    chi[list(_sign_classes(d, -1)[1])] = -1
-    special = {p: _sign(d, p, odd_only) for p in prime_divisors(2 * d)}
-    return _PrimeCountOracle(table, x, chi, special)
+    """Counts of the primes labelled +1 and -1 by _sign at every v in
+    {x // m}. The character chi mod Q of residues._unit_symbols labels
+    every prime not dividing 2D. With pi' and S' the count and the chi-sum
+    over those primes, each with chi(p) = +-1, the ones labelled eps number
+    (pi' + eps S') / 2. The primes dividing 2D are taken out of pi and of
+    the chi-sum and added back under their own _sign label."""
+    chi = _unit_symbols(d)
+    pi = _prime_count_grid(table, x)
+    chi_sums = _prime_sums(x, _oracle_primes(table, x), chi)
+    grid = _grid_values(x)
+    added = {1: 0, -1: 0}
+    for p in prime_divisors(2 * d):
+        reached = grid >= p
+        pi = pi - reached
+        chi_sums -= int(chi[p % len(chi)]) * reached
+        label = _sign(d, p, odd_only)
+        if label:
+            added[label] += reached
+    return _PrimeCountOracle(
+        x, {eps: (pi + eps * chi_sums) // 2 + added[eps] for eps in (1, -1)}
+    )
 
 
 @_table_memo
@@ -238,8 +253,8 @@ def _residue_rows(
     table: SpfTable, x: int, k: int, constraint: SignConstraint
 ) -> list[DensityRow]:
     d = constraint.discriminant
-    per_position = [_sign_classes(d, e)[1] for e in constraint.epsilons]
-    q_mod = _sign_classes(d, 1)[0]
+    per_position = [residue_classes_direct(d, e).classes for e in constraint.epsilons]
+    q_mod = kronecker_period(d)
     cells = euler_phi(q_mod) ** k
     reference = count_almost_primes(table, x, k, None, CountMode.SQUAREFREE)
     rows = []

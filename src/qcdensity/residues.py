@@ -13,6 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from .arith import crt_combine, euler_phi, kronecker, squarefree_kernel
 
@@ -51,20 +54,30 @@ def kronecker_period(d: int) -> int:
     return q
 
 
-def residue_classes_direct(d: int, epsilon: int) -> ResidueClassSet:
-    """B(epsilon) by filtering the odd units mod Q on the kernel's symbol."""
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+@lru_cache(maxsize=None)
+def _unit_symbols(d: int) -> np.ndarray:
+    """The symbol of d's squarefree kernel at every a mod Q, as int8: +-1 on
+    the units, 0 elsewhere; that is, the real character mod Q that gives
+    (d/p) for every prime p not dividing 2d. Computed once per d, and
+    read-only because every caller shares it."""
     q = kronecker_period(d)
     if q > _ENUMERATION_LIMIT:
         raise ValueError(f"period {q} exceeds the enumeration limit")
     kval = squarefree_kernel(d).value()
-    classes = tuple(
-        a
-        for a in range(1, q, 2)
-        if math.gcd(a, q) == 1 and kronecker(kval, a) == epsilon
-    )
-    return ResidueClassSet(d, q, epsilon, classes)
+    units = [a for a in range(1, q, 2) if math.gcd(a, q) == 1]
+    symbols = np.zeros(q, dtype=np.int8)
+    symbols[units] = [kronecker(kval, a) for a in units]
+    symbols.setflags(write=False)
+    return symbols
+
+
+def residue_classes_direct(d: int, epsilon: int) -> ResidueClassSet:
+    """B(epsilon) by filtering the units mod Q on the kernel's symbol."""
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    symbols = _unit_symbols(d)
+    classes = tuple(np.flatnonzero(symbols == epsilon).tolist())
+    return ResidueClassSet(d, len(symbols), epsilon, classes)
 
 
 def sign_vectors(m: int, target: int) -> list[tuple[int, ...]]:

@@ -7,16 +7,20 @@ lo, hi): the primes with that label over the ranges lo[i] < p <= hi[i].
 
 - _ClassIndex, the labelled prime index: the table's primes grouped by one
   integer label each (class_index(N) labels by p mod N), also summing log p
-  and 1/p. It reads the primes themselves, so its reach, the largest hi it
-  answers, is the table's limit.
-- _PrimeCountOracle, for one x: Lucy_Hedgehog's recurrence (_prime_sums)
-  gives pi(v), and the prime sums of a real character chi, at every
-  v = x // m from the primes up to _oracle_need(x) = isqrt(x) alone. It
-  counts every prime (label None) or the primes labelled +-1 by chi, with
-  listed exceptions (density.py's Kronecker signs). Queries must have lo
-  and hi in {x // m}; its reach is x. The recurrence makes on the order of
-  x^(3/4) updates, and _oracle_need refuses x when that is over the entry
-  budget, as build_spf_table refuses a table of more entries.
+  and 1/p. It reads the primes themselves, so it answers any hi up to the
+  table's limit.
+- _PrimeCountOracle, for one x: a plain lookup. It holds, for each label,
+  the count of the primes up to v with that label at every v = x // m, in
+  the layout _grid_values gives; queries must have lo and hi on that grid,
+  and hi may be as large as x. The caller builds the counts and decides
+  what a label means. Lucy_Hedgehog's recurrence (_prime_sums) sums a
+  periodic completely multiplicative f over the primes up to every grid
+  value, reading only the primes up to isqrt(x) (_oracle_primes). With
+  f = 1 it gives pi(v) (_prime_count_grid), the counts of the one label
+  None behind almostprime.py's unconstrained counts; density.py builds its
+  sign labels from pi and one more sum. The recurrence makes on the order
+  of x^(3/4) updates, and _oracle_need refuses x when that is over the
+  entry budget, as build_spf_table refuses a table of more entries.
 
 Indexes, oracles, recorded walks and counts are memoised in the table's
 memo dict, so they are freed with the table, or earlier by _forget.
@@ -94,8 +98,7 @@ class _ClassIndex:
     magnitude, which matters for the identity checks downstream.
     """
 
-    def __init__(self, primes: np.ndarray, labels: np.ndarray, reach: int):
-        self.reach = reach
+    def __init__(self, primes: np.ndarray, labels: np.ndarray):
         order = np.argsort(labels, kind="stable")
         self._primes = primes[order]
         grouped = labels[order]
@@ -114,20 +117,9 @@ class _ClassIndex:
     def _recips(self) -> np.ndarray:
         return 1.0 / self._primes.astype(np.float64)
 
-    def _bounds(self, label: int, lo: int, hi: int) -> tuple[int, int]:
-        # primes p with this label and lo < p <= hi
-        i0, i1 = self._groups.get(label, (0, 0))
-        seg = self._primes[i0:i1]
-        j0 = i0 + int(np.searchsorted(seg, lo, side="right"))
-        j1 = i0 + int(np.searchsorted(seg, hi, side="right"))
-        return j0, j1
-
-    def count(self, label: int, lo: int, hi: int) -> int:
-        j0, j1 = self._bounds(label, lo, hi)
-        return j1 - j0
-
     def count_ranges(self, label: int, lo: np.ndarray, hi: np.ndarray) -> int:
-        """Primes with this label summed over the ranges lo[i] < p <= hi[i]."""
+        """Primes with this label summed over the ranges lo[i] < p <= hi[i];
+        scalar lo and hi are one range."""
         i0, i1 = self._groups.get(label, (0, 0))
         seg = self._primes[i0:i1]
         upto_hi = np.searchsorted(seg, hi, side="right")
@@ -136,7 +128,10 @@ class _ClassIndex:
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
-        j0, j1 = self._bounds(label, lo, hi)
+        i0, i1 = self._groups.get(label, (0, 0))
+        seg = self._primes[i0:i1]
+        j0 = i0 + int(np.searchsorted(seg, lo, side="right"))
+        j1 = i0 + int(np.searchsorted(seg, hi, side="right"))
         if j1 <= j0:
             return 0, 0.0, 0.0
         return (
@@ -146,30 +141,34 @@ class _ClassIndex:
         )
 
 
+def _grid_values(x: int) -> np.ndarray:
+    """The v = x // m at each position of the layout the prime sums and the
+    oracle share: position v for v <= r = isqrt(x), then position r + i for
+    v = x // i, i = 1..r."""
+    r = math.isqrt(x)
+    return np.concatenate((np.arange(r + 1), x // np.arange(1, r + 1)))
+
+
 def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Sum of f(p) over the primes p <= v at every v in {x // m}, for f
-    completely multiplicative with period len(f) (f(n) = f[n % len(f)]).
+    """Sum of f(p) over the primes p <= v at every v in {x // m}, laid out
+    as _grid_values, for f completely multiplicative with period len(f)
+    (f(n) = f[n % len(f)]).
 
     Lucy_Hedgehog's recurrence: start from the sums of f(n) over 2 <= n <= v
     and, for each prime p <= isqrt(x) (the given primes, ascending), take out
-    f(p) * (S(v // p) - S(p - 1)) at every v >= p^2. The result is laid out
-    as _PrimeCountOracle reads it: position v for v <= r = isqrt(x), and
-    position r + i for v = x // i, i = 1..r.
+    f(p) * (S(v // p) - S(p - 1)) at every v >= p^2.
     """
     r = math.isqrt(x)
     period = len(f)
     f = f.astype(np.int64)
     cumulative = np.concatenate(([0], np.cumsum(f[1:])))
     per_period = int(f.sum())
-
-    def upto(v: np.ndarray) -> np.ndarray:
-        # sum of f(n) over 2 <= n <= v
-        return (v // period) * per_period + cumulative[v % period] - f[1 % period]
-
-    small = upto(np.arange(r + 1, dtype=np.int64))
-    small[:2] = 0
-    large = upto(x // np.arange(1, r + 1, dtype=np.int64))
-    large = np.concatenate(([0], large))  # large[i] is the sum at x // i
+    grid = _grid_values(x)
+    # sum of f(n) over 2 <= n <= v
+    sums = (grid // period) * per_period + cumulative[grid % period] - f[1 % period]
+    sums[:2] = 0
+    # views: small[v] is the sum at v <= r, large[i] the sum at x // i (i >= 1)
+    small, large = sums[: r + 1], sums[r:]
     for p in primes.tolist():
         fp = int(f[p % period])
         if fp == 0:
@@ -184,52 +183,23 @@ def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
         if p * p <= r:
             v = np.arange(p * p, r + 1, dtype=np.int64)
             small[p * p :] -= fp * (small[v // p] - below)
-    return np.concatenate((small, large[1:]))
+    return sums
 
 
 class _PrimeCountOracle:
     """Prime counts at every v in {x // m}, the only values the walker's
     last position asks for when the product is at most x: hi is x over the
     leading product, and lo, a leading prime or one less, is at most
-    isqrt(x). Built from the table's primes up to isqrt(x).
+    isqrt(x).
 
-    Without chi, every prime carries the label None. With chi, a character
-    given by its period table, the primes are labelled eps in {+1, -1}: a
-    prime is labelled chi(p), except the primes in special, which carry
-    their own label. With pi' and S' the count and the chi-sum over the
-    primes outside special, and every other prime having chi(p) = +-1, the
-    primes up to v labelled eps number (pi'(v) + eps S'(v)) / 2, plus the
-    special primes up to v labelled eps.
+    cumulative maps each label to the count of the primes up to v with that
+    label, laid out as _grid_values; the caller builds it.
     """
 
-    def __init__(
-        self,
-        table: SpfTable,
-        x: int,
-        chi: np.ndarray | None = None,
-        special: dict[int, int] | None = None,
-    ):
-        self.reach = self._x = x
+    def __init__(self, x: int, cumulative: dict):
+        self._x = x
         self._r = math.isqrt(x)
-        pi = _prime_count_grid(table, x)
-        if chi is None:
-            self._cumulative = {None: pi}
-            return
-        chi_sums = _prime_sums(x, table.primes[: pi[self._r]], chi)
-        grid = np.concatenate(
-            (np.arange(self._r + 1), x // np.arange(1, self._r + 1))
-        )
-        pi = pi.copy()
-        added = {1: np.zeros_like(pi), -1: np.zeros_like(pi)}
-        for p, label in (special or {}).items():
-            reached = grid >= p
-            pi -= reached
-            chi_sums -= int(chi[p % len(chi)]) * reached
-            if label in added:
-                added[label] += reached
-        self._cumulative = {
-            eps: (pi + eps * chi_sums) // 2 + added[eps] for eps in (1, -1)
-        }
+        self._cumulative = cumulative
 
     def count_ranges(self, label, lo: np.ndarray, hi: np.ndarray) -> int:
         """Primes with this label summed over the ranges lo[i] < p <= hi[i],
@@ -258,17 +228,26 @@ def _oracle_need(x: int) -> int:
     return r
 
 
-@_table_memo
-def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
-    """pi(v) at every v in {x // m}, laid out as _prime_sums lays it out."""
+def _oracle_primes(table: SpfTable, x: int) -> np.ndarray:
+    """The table's primes up to isqrt(x), all that _prime_sums reads for x.
+    Raises ValueError when x is over the work budget (_oracle_need) or the
+    table stops short of isqrt(x)."""
     r = _oracle_need(x)
     if r > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for prime counts to x = {x}"
             f" (need {r})"
         )
-    primes = table.primes[: np.searchsorted(table.primes, r, side="right")]
-    return _prime_sums(x, primes, np.ones(1, dtype=np.int64))
+    return table.primes[: np.searchsorted(table.primes, r, side="right")]
+
+
+@_table_memo
+def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
+    """pi(v) at every v in {x // m}, laid out as _grid_values. Read-only,
+    since the memo hands the one array to every caller."""
+    pi = _prime_sums(x, _oracle_primes(table, x), np.ones(1, dtype=np.int64))
+    pi.setflags(write=False)
+    return pi
 
 
 def _fixed_points(spf: np.ndarray) -> np.ndarray:
@@ -311,7 +290,7 @@ class SpfTable:
             raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
         # the narrowest label type: numpy radix-sorts 8- and 16-bit keys
         labels = (self.primes % modulus).astype(np.min_scalar_type(modulus - 1))
-        return _ClassIndex(self.primes, labels, self.limit)
+        return _ClassIndex(self.primes, labels)
 
 
 def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:
@@ -361,7 +340,7 @@ def prime_count_in_class(table: SpfTable, x: int, a: int, modulus: int) -> int:
         raise ValueError("class must satisfy 0 <= a < modulus")
     if x < 2:
         return 0
-    return table.class_index(modulus).count(a, 0, x)
+    return table.class_index(modulus).count_ranges(a, 0, x)
 
 
 def factorize(table: SpfTable, n: int) -> FactoredInteger:
@@ -400,8 +379,9 @@ def save_spf_cache(table: SpfTable, path: str) -> None:
 
 def _sample_points(limit: int) -> np.ndarray:
     """The n at which _check_content tests a table: evenly spaced in
-    2..limit."""
-    return np.unique(np.linspace(2, limit, _CHECK_SAMPLES).astype(np.int64))
+    2..limit, ascending, with repeats when the limit is small (a repeat
+    only checks the same n twice)."""
+    return np.linspace(2, limit, _CHECK_SAMPLES).astype(np.int64)
 
 
 def _check_content(table: SpfTable) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, SignConstraint, almostprime, density
+from qcdensity import CountMode, SignConstraint, almostprime, density, sieve
 
 
 def test_sign_constraint_basics():
@@ -155,6 +155,29 @@ def test_sign_oracle_matches_class_counts(table, odd_only):
             assert oracle.count_ranges(eps, lo_a, hi) == expected, (eps, lo)
 
 
+@pytest.mark.parametrize("odd_only", [False, True])
+@pytest.mark.parametrize("d", [5, 45, -20, 18, -1])
+def test_sign_oracle_counts_the_sign_labels(d, odd_only):
+    """At every bound v in {x // m}, the sign oracle counts the primes up to
+    v that _sign labels eps, for odd and even D, a non-fundamental D and
+    D = -1; and building it leaves the shared prime-count grid as it was."""
+    x = 10**5
+    table = q.build_spf_table(x)
+    pi = sieve._prime_count_grid(table, x)
+    before = pi.copy()
+    oracle = density._sign_oracle(table, x, d, odd_only)
+    assert sieve._prime_count_grid(table, x) is pi
+    assert np.array_equal(pi, before)
+    bounds = np.array(sorted({x // m for m in range(1, x + 1)}), dtype=np.int64)
+    primes = table.primes
+    labels = np.array([density._sign(d, p, odd_only) for p in primes.tolist()])
+    one = np.ones(1, dtype=np.int64)
+    for eps in (1, -1):
+        upto = np.searchsorted(primes[labels == eps], bounds, side="right")
+        for v, expected in zip(bounds.tolist(), upto.tolist()):
+            assert oracle.count_ranges(eps, one, v * one) == expected, (eps, v)
+
+
 def test_positional_reduction_to_residue_boxes(table):
     """Sign tuples reduce to sums over per-position residue classes, exactly."""
     x, k = 10**4, 2
@@ -277,10 +300,13 @@ def test_density_table_walks_the_tuples_once_per_labelling(
 
 
 def test_density_table_drops_each_x_from_the_memo():
-    """Once an x's rows are made, its oracles, walks and counts are freed."""
-    table = q.build_spf_table(10**5)
-    q.density_table(table, [10**4, 10**5], 3, 5)
-    assert [args for _, args in table.memo if args[:1] == (10**4,)] == []
+    """Once an x's rows are made, its oracles, walks and counts are freed;
+    only the class indexes of a cross-check, which serve every x, stay."""
+    for cross_check, left in [(False, set()), (True, {"class_index"})]:
+        table = q.build_spf_table(10**5)
+        q.density_table(table, [10**4, 10**5], 3, 5, cross_check)
+        assert [args for _, args in table.memo if args[:1] == (10**4,)] == []
+        assert {fn.__name__ for fn, _ in table.memo} == left, cross_check
 
 
 def test_csv_output(table):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import qcdensity as q
+from qcdensity import residues
 
 DISCRIMINANTS = (2, -2, 3, -3, 5, -5, 6, -7, 10, 13, 15, -20, 21)
 
@@ -94,6 +95,30 @@ def test_square_multiples_share_classes():
             b = q.residue_classes_direct(reduced, eps)
             assert a.modulus == b.modulus
             assert sorted(a.classes) == sorted(b.classes)
+
+
+def test_both_signs_share_one_symbol_scan(monkeypatch):
+    """B(+) and B(-) are read off one scan of the units mod Q per D, whose
+    symbols are shared read-only."""
+    calls = []
+    kronecker = residues.kronecker
+
+    def counted(d, n):
+        calls.append(n)
+        return kronecker(d, n)
+
+    monkeypatch.setattr(residues, "kronecker", counted)
+    residues._unit_symbols.cache_clear()
+    try:
+        for d in (-20, 45):
+            plus = q.residue_classes_direct(d, 1)
+            minus = q.residue_classes_direct(d, -1)
+            assert len(plus.classes) + len(minus.classes) == 2 * q.class_count(d)
+        assert len(calls) == 2 * q.class_count(-20) + 2 * q.class_count(45)
+        with pytest.raises(ValueError):
+            residues._unit_symbols(45)[1] = 0
+    finally:
+        residues._unit_symbols.cache_clear()
 
 
 def test_rejects_perfect_square_discriminant():

@@ -199,13 +199,16 @@ def test_cache_honors_entry_budget(tmp_path):
 
 def test_class_index_range_queries(table):
     idx = table.class_index(4)
-    assert idx.count(1, 0, 100) == 11
-    assert idx.count(3, 0, 100) == 13
+    assert idx.count_ranges(1, 0, 100) == 11
+    assert idx.count_ranges(3, 0, 100) == 13
     # half-open on the left: (lo, hi]
-    assert idx.count(1, 5, 5) == 0
-    assert idx.count(1, 4, 5) == 1
+    assert idx.count_ranges(1, 5, 5) == 0
+    assert idx.count_ranges(1, 4, 5) == 1
+    primes = table.primes_list
     for a in (1, 3):
-        assert idx.count(a, 0, 10**4) == q.prime_count_in_class(table, 10**4, a, 4)
+        expected = sum(1 for p in primes if p <= 10**4 and p % 4 == a)
+        assert idx.count_ranges(a, 0, 10**4) == expected
+        assert q.prime_count_in_class(table, 10**4, a, 4) == expected
 
 
 def test_class_index_stats_match_direct_sums(table):
@@ -225,7 +228,7 @@ def _quotient_bounds(x):
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000, 4099, 65536, 10**5])
 def test_oracle_range_counts_match_the_class_index(table, x):
-    oracle = sieve._PrimeCountOracle(table, x)
+    oracle = sieve._PrimeCountOracle(x, {None: sieve._prime_count_grid(table, x)})
     every = table.class_index(1)
     bounds = _quotient_bounds(x)
     r = math.isqrt(x)
@@ -257,4 +260,4 @@ def test_class_index_labels_every_residue(table, modulus):
     residues = table.primes % modulus
     for a in sorted({a % modulus for a in (1, 2, modulus - 1, int(residues[-1]))}):
         expected = int(np.count_nonzero(residues == a))
-        assert idx.count(a, 0, table.limit) == expected, a
+        assert idx.count_ranges(a, 0, table.limit) == expected, a
