@@ -1,37 +1,34 @@
 """Counting k-almost-primes under residue constraints, and the ordered
 tuple sums behind the density estimates.
 
-Every count here, and the sign counts in density.py, rests on one walker:
-_walk descends the sorted prime tuples p1 <= ... <= pk with product <= x,
-pruning with p^(positions left) <= remaining budget, and answers the last
-position with one range query. A caller supplies a step/leaf pair.
-step(state, pos, p) returns the state after choosing p at position pos, or
-None to skip p. leaf(state, lo, hi) returns the contribution of the last
-prime pk in (lo, hi]. The walker sums the leaves. It also enforces the one
-coverage rule: the backend's reach, the largest hi it answers, must be at
-least _coverage_need(x, k) = x / 2^(k-1), the largest last-position value.
-The labelled prime index reaches the table's limit, so it needs every prime
-up to x / 2^(k-1). A prime-count oracle for x reaches x, so its walks pass
-x as the reach. It is a lookup into counts its caller builds from the
-table's primes up to isqrt(x) (sieve._oracle_primes), which bound every
-leading prime too: here pi(v) (sieve._prime_count_grid) under the one label
-None; in density.py, the Kronecker sign counts.
+Every count and sum here, and the sign counts in density.py, reads one
+recorded walk per (x, k, mode): _tuple_rows descends the sorted prime
+tuples p1 <= ... <= pk with product <= x, pruning with p^(positions left)
+<= remaining budget, and records one row per leading tuple, in enumeration
+order: its k - 1 leading primes and the range (lo, hi] of the last prime.
+The walk is memoised in the table's memo dict, so every labelling of the
+same tuples shares it.
 
-Integer counts are lookups into one recorded walk per (x, k, labelling,
-mode), _leading_ranges: its step appends label(p) and skips nothing, and
-its leaf records the range (lo, hi] under the tuple of leading labels. A
-count is one count_ranges query: the primes of the last target label, over
-the ranges recorded under the leading targets. Labelled by p mod N
-(_positional_ranges), the walk serves positional counts, and residue-multiset
-counts, which sum over the leading residue tuples inside the multiset,
-each with its one leftover class. Labelled by one constant, it serves
-unconstrained counts; by Kronecker sign, the sign counts of density.py.
+Integer counts group the rows by one vectorised labelling of their leading
+primes (_group_rows, memoised per labelling) and make one count_ranges
+query: the primes of the last target label, over the ranges of the group
+of the leading targets. Labelled by p mod N (_residue_groups), the rows
+serve positional counts and residue-multiset counts, on the labelled prime
+index; with no label, unconstrained counts, on a prime-count oracle; by
+Kronecker sign, the sign counts of density.py, on its sign oracle. The one
+coverage rule, _check_coverage, guards every consumer of the labelled prime
+index before it reads the rows: the last position reaches
+_coverage_need(x, k) = x / 2^(k-1), so the index needs every prime up to
+there. A prime-count oracle for x answers every last position up to x; it
+is a lookup into counts its caller builds from the table's primes up to
+isqrt(x) (sieve._oracle_primes), which bound every leading prime too.
 
-The ordered-tuple float sums keep a step/leaf pair of their own,
-_ordered_stats, which sums in enumeration order and weights each sorted
-tuple by its number of distinct orderings (k! over the factorials of its
-prime multiplicities), carried as run lengths in the step state. Walks and
-counts that are asked for again are memoized in the table's own memo dict.
+The ordered-tuple float sums, _ordered_stats, and the character-sum route
+loop over the rows in enumeration order. _ordered_stats weights each
+sorted tuple by its number of distinct orderings (k! over the factorials
+of its prime multiplicities), read off the runs of the leading primes.
+Counts and sums that are asked for again are memoised in the table's memo
+dict as well.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import enum
 import itertools
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,81 +98,78 @@ def _coverage_need(x: int, k: int) -> int:
     return x // 2 ** (k - 1)
 
 
-def _walk(
-    table: SpfTable, x: int, k: int, strict: bool, step, leaf, state, reach=None
-):
-    """Walk the sorted prime tuples p1 <= ... <= pk (p1 < ... < pk when
-    strict) with product <= x, and return the sum of the leaf values.
-
-    Positions 0..k-2 are chosen by descent, pruned by p^(positions left) <=
-    remaining budget. At each candidate p the walker asks step(state, pos, p)
-    for the child state; None skips p. The last position is one range query:
-    leaf(state, lo, hi) gets the state after k-1 choices and the range
-    lo < pk <= hi, where hi is x over the leading product and lo is the
-    previous prime (minus one when repeats are allowed; 1 when k = 1).
-    hi never exceeds _coverage_need(x, k), which reach, the largest hi the
-    leaf's backend answers, must cover; by default the table's limit. A
-    leading prime p has p^2 <= x, so only the primes up to isqrt(x) are
-    looped over.
-    """
+def _check_coverage(table: SpfTable, x: int, k: int) -> None:
+    """Refuse a table whose labelled prime index (the table's primes) stops
+    short of _coverage_need(x, k); called before the rows are read, so a
+    refused call walks nothing."""
     need = _coverage_need(x, k)
-    if need > (table.limit if reach is None else reach):
+    if need > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
         )
-    bound = min(math.isqrt(x), table.limit)
-    primes = table.primes[: prime_count(table, bound)].tolist()
 
-    def descend(budget: int, depth: int, lo_idx: int, lo_val: int, st):
+
+@_table_memo
+def _tuple_rows(
+    table: SpfTable, x: int, k: int, strict: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted prime tuples p1 <= ... <= pk (p1 < ... < pk when strict)
+    with product <= x, as one row per leading tuple, in enumeration order.
+
+    A row is the k - 1 leading primes (a row of the int32 array `leading`)
+    and the range lo < pk <= hi of the last prime (int64 arrays lo, hi):
+    hi is x over the leading product, lo the previous prime (minus one when
+    repeats are allowed; 1 when k = 1). hi never exceeds _coverage_need(x,
+    k). The leading primes are chosen by descent, pruned by p^(positions
+    left) <= remaining budget, so none exceeds isqrt(x // 2^(k-2)); a table
+    that stops short of that is refused, so no truncated walk is memoised.
+    """
+    top = math.isqrt(x >> (k - 2)) if k > 1 else 1
+    # prime_count refuses a top past the table's limit
+    primes = table.primes[: prime_count(table, top)].tolist()
+    leading, los, his = array("i"), array("q"), array("q")
+    path: list[int] = []
+    # strict tuples go on after the chosen prime: at the next index, lo = p
+    skip = int(strict)
+
+    def descend(budget: int, depth: int, lo_idx: int, lo_val: int) -> None:
         if depth == 1:
-            return leaf(st, lo_val, budget)
-        pos = k - depth
-        total = 0
+            leading.extend(path)
+            los.append(lo_val)
+            his.append(budget)
+            return
         for i in range(lo_idx, len(primes)):
             p = primes[i]
             if p**depth > budget:
                 break
-            child = step(st, pos, p)
-            if child is not None:
-                total += descend(
-                    budget // p,
-                    depth - 1,
-                    i + 1 if strict else i,
-                    p if strict else p - 1,
-                    child,
-                )
-        return total
+            path.append(p)
+            descend(budget // p, depth - 1, i + skip, p - 1 + skip)
+            path.pop()
 
-    return descend(x, k, 0, 1, state)
+    descend(x, k, 0, 1)
+    lo, hi = np.frombuffer(los, dtype=np.int64), np.frombuffer(his, dtype=np.int64)
+    return np.frombuffer(leading, dtype=np.int32).reshape(len(lo), k - 1), lo, hi
 
 
-def _leading_ranges(
-    table: SpfTable, x: int, k: int, strict: bool, label, reach=None
-) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """The last-position ranges lo < pk <= hi of every sorted prime tuple
-    with product <= x, as (lo, hi) int64 arrays keyed by the labels of its
-    k - 1 leading primes. reach is that of the backend the ranges are
-    counted on, as in _walk."""
-    ranges: dict[tuple, array] = defaultdict(lambda: array("q"))
-
-    def step(leading, pos, p):
-        return leading + (label(p),)
-
-    def leaf(leading, lo, hi):
-        ranges[leading].extend((lo, hi))
-        return 0
-
-    _walk(table, x, k, strict, step, leaf, (), reach)
+def _group_rows(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict:
+    """The ranges (lo, hi) of the rows keyed by the labels of their leading
+    primes, labels holding one array per leading position: one stable sort
+    of the rows by their labels, cut where the labels change."""
+    order = np.lexsort(labels[::-1]) if len(labels) else np.arange(len(lo))
+    keys = labels[:, order]
+    cuts = (np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1).tolist()
+    bounds = [0, *cuts, len(lo)]
     return {
-        leading: tuple(np.frombuffer(bounds, dtype=np.int64).reshape(-1, 2).T)
-        for leading, bounds in ranges.items()
+        tuple(keys[:, i].tolist()): (lo[order[i:j]], hi[order[i:j]])
+        for i, j in zip(bounds, bounds[1:])
+        if i < j
     }
 
 
-def _count_recorded(ranges: dict, targets: tuple, backend) -> int:
+def _count_group(groups: dict, targets: tuple, backend) -> int:
     """The primes labelled targets[-1] on the backend, summed over the ranges
-    recorded under the leading targets."""
-    bounds = ranges.get(targets[:-1])
+    of the rows whose leading primes are labelled targets[:-1]."""
+    bounds = groups.get(targets[:-1])
     return 0 if bounds is None else backend.count_ranges(targets[-1], *bounds)
 
 
@@ -184,14 +178,17 @@ def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
     """Sorted prime tuples with product <= x, on the prime-count oracle (label
     None), built before the walk so that a short table raises first."""
     oracle = _PrimeCountOracle(x, {None: _prime_count_grid(table, x)})
-    ranges = _leading_ranges(table, x, k, strict, lambda p: None, x)
-    return _count_recorded(ranges, (None,) * k, oracle)
+    _, lo, hi = _tuple_rows(table, x, k, strict)
+    return oracle.count_ranges(None, lo, hi)
 
 
 @_table_memo
-def _positional_ranges(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
-    """_leading_ranges labelled by the residue mod modulus."""
-    return _leading_ranges(table, x, k, strict, lambda p: p % modulus)
+def _residue_groups(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """The rows of _tuple_rows grouped by the residues mod modulus of their
+    leading primes."""
+    leading, lo, hi = _tuple_rows(table, x, k, strict)
+    labels = (leading.T % modulus).astype(np.min_scalar_type(modulus - 1))
+    return _group_rows(labels, lo, hi)
 
 
 def _sorted_count(
@@ -200,9 +197,10 @@ def _sorted_count(
     """Sorted prime tuples with product <= x whose residues mod modulus match
     the multiset `residues`; strict means distinct primes. Each leading
     residue tuple inside `residues` adds the primes of the one class left."""
+    _check_coverage(table, x, k)
     cidx = table.class_index(modulus)
     want, total = Counter(residues), 0
-    for leading, bounds in _positional_ranges(table, x, k, modulus, strict).items():
+    for leading, bounds in _residue_groups(table, x, k, modulus, strict).items():
         left = want - Counter(leading)
         if sum(left.values()) == 1:
             total += cidx.count_ranges(*left, *bounds)
@@ -243,14 +241,13 @@ def count_almost_primes_positional(
     """Positional variant: the i-th smallest prime of n must lie in class
     residues[i] mod modulus (sorted with multiplicity in that mode).
 
-    The count is a lookup into one walk per (x, k, modulus, mode), which
-    records the last-position ranges of every leading residue tuple. So a
-    lone call walks every leading tuple, about phi(modulus)^(k-1) times the
-    tuples that match; its one caller outside the tests, the cross-check
-    rows of density.py, asks for every residue tuple, and then the walk is
-    made once for all of them. Residue-multiset counts (count_almost_primes
-    with a constraint) read the same walk, so a lone `count --classes` walks
-    every leading tuple too.
+    The count is one query over the rows of the walk per (x, k, mode),
+    labelled by residue, so a lone call walks every leading tuple, about
+    phi(modulus)^(k-1) times the tuples that match; its one caller outside
+    the tests, the cross-check rows of density.py, asks for every residue
+    tuple of the same walk. Residue-multiset counts (count_almost_primes
+    with a constraint) read the same rows, so a lone `count --classes`
+    walks every leading tuple too.
     """
     if k < 1 or len(residues) != k:
         raise ValueError("need one residue per position")
@@ -260,8 +257,9 @@ def count_almost_primes_positional(
         raise ValueError("modulus must be >= 1")
     strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
+    _check_coverage(table, x, k)
     cidx = table.class_index(modulus)
-    return _count_recorded(_positional_ranges(table, x, k, modulus, strict), res, cidx)
+    return _count_group(_residue_groups(table, x, k, modulus, strict), res, cidx)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -280,52 +278,43 @@ def _ordered_stats(
     """(ordered count, sum of log n, sum of 1/n) over ordered prime tuples
     with product <= x whose residue multiset matches `residues`.
 
-    Each sorted tuple counts k! / prod(run length!) times. The step state
-    carries (remaining residues, previous prime, its run length, product of
-    the factorials of the closed runs, leading product).
+    Each sorted tuple counts k! / prod(run length!) times, its runs those
+    of the leading primes of its row, and the last prime's.
     """
+    _check_coverage(table, x, k)
     cidx = table.class_index(modulus)
-    k_fact = math.factorial(k)
-    fact = math.factorial
+    leading, los, his = _tuple_rows(table, x, k, False)
+    k_fact, fact = math.factorial(k), math.factorial
+    # a row matches when its sorted leading residues are the multiset less
+    # one class v, which the last prime then takes
+    reductions = {_remove_one(residues, v): v for v in set(residues)}
+    count = 0
     # the float sums accumulate here, in enumeration order, so they round
     # as one running total would; per-level subtotals would move the last
     # bits of the residuals that verify prints
-    sums = [0.0, 0.0]
-
-    def step(st, pos, p):
-        remaining, last_p, run_len, run_denom, prod = st
-        r = p % modulus
-        if r not in remaining:
-            return None
-        if p == last_p:
-            run_len += 1
-        else:
-            run_denom, run_len = run_denom * fact(run_len), 1
-        return _remove_one(remaining, r), p, run_len, run_denom, prod * p
-
-    def leaf(st, lo, hi):
-        remaining, last_p, run_len, run_denom, prod = st
-        v = remaining[0]
-        count = 0
-        # repeating the previous prime extends its run; lo is last_p - 1, so
-        # the class range after it starts at last_p
-        if last_p is not None and last_p <= hi and last_p % modulus == v:
-            w = k_fact // (run_denom * fact(run_len + 1))
-            n_val = prod * last_p
+    log_sum = recip_sum = 0.0
+    for lead, lo, hi in zip(leading.tolist(), los.tolist(), his.tolist()):
+        v = reductions.get(tuple(sorted(p % modulus for p in lead)))
+        if v is None:
+            continue
+        prod = math.prod(lead)
+        # lead is sorted, so a prime's count in it is the length of its run
+        weight = k_fact // math.prod(fact(lead.count(p)) for p in set(lead))
+        # repeating the last leading prime extends its run; lo is that
+        # prime minus one, so the class range after it starts at the prime
+        if lead and lead[-1] <= hi and lead[-1] % modulus == v:
+            w = weight // (lead.count(lead[-1]) + 1)
+            n_val = prod * lead[-1]
             count += w
-            sums[0] += w * math.log(n_val)
-            sums[1] += w / n_val
-            lo = last_p
-        weight = k_fact // (run_denom * fact(run_len))
+            log_sum += w * math.log(n_val)
+            recip_sum += w / n_val
+            lo = lead[-1]
         cnt, logs, recips = cidx.stats(v, lo, hi)
         if cnt:
             count += weight * cnt
-            sums[0] += weight * (cnt * math.log(prod) + logs)
-            sums[1] += weight * (recips / prod)
-        return count
-
-    count = _walk(table, x, k, False, step, leaf, (residues, None, 0, 1, 1))
-    return count, sums[0], sums[1]
+            log_sum += weight * (cnt * math.log(prod) + logs)
+            recip_sum += weight * (recips / prod)
+    return count, log_sum, recip_sum
 
 
 def ordered_tuple_count(
@@ -378,12 +367,15 @@ def tuple_sums(
     table: SpfTable, x: float, k: int, constraint: ResidueConstraint
 ) -> OrderedTupleSums:
     """Ordered-tuple sums at real x >= 0 (enumeration thresholds use floor(x),
-    the error term keeps the exact x)."""
+    the error term keeps the exact x). The error term reads the level-(k-1)
+    sums, whose last position reaches further, so that level's coverage is
+    checked first."""
     if k < 1 or constraint.k != k:
         raise ValueError("constraint length must equal k >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
     xf = math.floor(x)
+    _check_coverage(table, xf, max(k - 1, 1))
     n_mod = constraint.modulus
     ms = constraint.multiset()
     cnt, logs, recips = _ordered_stats(table, xf, k, n_mod, ms)
@@ -420,6 +412,7 @@ def ordered_tuple_count_via_characters(
         raise ValueError(f"k must be in 1..{CHARACTER_SUM_K_LIMIT}")
     if constraint.k != k:
         raise ValueError("constraint length must equal k")
+    _check_coverage(table, x, k)
     n_mod = constraint.modulus
     group = build_character_group(n_mod)
     arrangements = sorted(set(itertools.permutations(constraint.residues)))
@@ -438,13 +431,11 @@ def ordered_tuple_count_via_characters(
             inner[key] = val
         return val
 
-    def extend(leading, pos, p):
-        return leading + (p,)
-
-    def leaf(leading, lo, hi):
-        subtotal = 0j
+    total = 0j
+    leading, los, his = _tuple_rows(table, x, k, False)
+    for lead, lo, hi in zip(leading.tolist(), los.tolist(), his.tolist()):
         for last in primes[prime_count(table, lo) : prime_count(table, hi)]:
-            for ordered in set(itertools.permutations(leading + (last,))):
+            for ordered in set(itertools.permutations((*lead, last))):
                 residues = [p % n_mod for p in ordered]
                 for arr in arrangements:
                     prod = 1 + 0j
@@ -452,10 +443,7 @@ def ordered_tuple_count_via_characters(
                         prod *= inner_sum(arr[pos], residues[pos])
                         if prod == 0:
                             break
-                    subtotal += prod
-        return subtotal
-
-    total = _walk(table, x, k, False, extend, leaf, ())
+                    total += prod
     total /= euler_phi(n_mod) ** k
     if abs(total.imag) > 1e-6:
         raise ArithmeticError(f"character sum came out non-real: {total}")

@@ -73,7 +73,8 @@ def _get_table(min_limit: int):
     if path and os.path.exists(path):
         try:
             cached = load_spf_cache(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
+            # unreadable (a directory, no permission) or corrupt: rebuilt
             print(f"warning: ignoring SPF cache {path}: {exc}", file=sys.stderr)
         else:
             if cached.limit >= limit:

@@ -6,26 +6,25 @@ prime tuple of n; each prime must satisfy (D/p_i) = epsilon_i. Primes
 dividing D never match (their symbol is 0); p = 2 participates exactly when
 D is odd, since (D/2) = 0 for even D.
 
-Counting is a lookup into one walk of almostprime.py per
-(x, k, D, odd_only, mode) that records its last-position ranges under the
-signs of the leading primes, each evaluated as (D/p) once per prime: a sign
-count is one count_ranges query on _sign_oracle, a prime-count oracle for
-(x, D, odd_only), over the ranges under eps[:-1]. This module owns the one
-sign-label rule, _sign, and builds the oracle's counts from it: a prime is
-labelled +1 or -1 by the class B(+) or B(-) of p mod Q, that is by the
-real character chi mod Q, except that each prime dividing 2D takes (D/p)
-itself (p = 2 takes 0 when odd_only). So the oracle's counts come from
-pi(v) and one prime sum of chi (sieve._prime_sums), with the primes
-dividing 2D moved to their own label; they need the table's primes only
-up to isqrt(x). The unconstrained reference counts are a walk with one
-label for every prime, on the every-prime oracle. The residue-class rows
-of a cross-check run on the labelled prime index, so they need the primes
-up to x / 2^(k-1) and check the sign rows by an independent route. Their
-phi(Q)^k rows at one x are lookups into one walk labelled by residue
-(almostprime._positional_ranges), so a table costs two tuple walks per x,
-three with the cross-check. Once an x's rows are made, density_table drops
-that x's oracles, walks and counts from the table's memo, so a grid holds
-the entries of one x at a time.
+Counting reads the one recorded walk of almostprime.py per (x, k, mode),
+its rows labelled by the signs of their leading primes, each evaluated as
+(D/p) once per prime (_sign_groups): a sign count is one count_ranges
+query on _sign_oracle, a prime-count oracle for (x, D, odd_only), over the
+ranges of the rows labelled eps[:-1]. This module owns the one sign-label
+rule, _sign, and builds the oracle's counts from it: a prime is labelled
++1 or -1 by the class B(+) or B(-) of p mod Q, that is by the real
+character chi mod Q, except that each prime dividing 2D takes (D/p) itself
+(p = 2 takes 0 when odd_only). So the oracle's counts come from pi(v) and
+one prime sum of chi (sieve._prime_sums), with the primes dividing 2D moved
+to their own label; they need the table's primes only up to isqrt(x). The
+unconstrained reference counts read the same rows, unlabelled, on the
+every-prime oracle. The residue-class rows of a cross-check run on the
+labelled prime index, so they need the primes up to x / 2^(k-1) and check
+the sign rows by an independent route; their phi(Q)^k rows at one x read
+the same rows again, labelled by residue. So a table costs one tuple walk
+per x, with or without the cross-check. Once an x's rows are made,
+density_table drops that x's oracles, walk, row groups and counts from the
+table's memo, so a grid holds the entries of one x at a time.
 """
 
 from __future__ import annotations
@@ -34,13 +33,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .arith import euler_phi, kronecker, prime_divisors, squarefree_kernel
 from .almostprime import (
     CountMode,
-    _count_recorded,
-    _leading_ranges,
+    _count_group,
+    _group_rows,
+    _tuple_rows,
     count_almost_primes,
     count_almost_primes_positional,
 )
@@ -132,12 +133,18 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
 
 
 @_table_memo
-def _sign_ranges(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
-    """almostprime._leading_ranges labelled by _sign, for the sign oracle
-    (reach x). The signs come from the symbol, never from the oracle, so the
-    residue-class rows of --cross-check stay an independent route."""
-    sign = lru_cache(maxsize=None)(lambda p: _sign(d, p, odd_only))
-    return _leading_ranges(table, x, k, strict, sign, x)
+def _sign_groups(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
+    """The rows of almostprime._tuple_rows grouped by the _sign labels of
+    their leading primes, with one evaluation per distinct prime. The signs
+    come from the symbol, never from the oracle, so the residue-class rows
+    of --cross-check stay an independent route."""
+    leading, lo, hi = _tuple_rows(table, x, k, strict)
+    # every leading prime is at most isqrt(x)
+    present = np.zeros(math.isqrt(x) + 1, dtype=bool)
+    present[leading] = True
+    signs = np.zeros(len(present), dtype=np.int8)
+    signs[present] = [_sign(d, p, odd_only) for p in np.flatnonzero(present).tolist()]
+    return _group_rows(signs[leading].T, lo, hi)
 
 
 def count_sign_constrained(
@@ -154,9 +161,10 @@ def count_sign_constrained(
     odd_only drops even n even when D is odd (used when comparing against
     residue-class counts, which only ever see odd primes).
 
-    The count is a lookup into one walk per (x, k, D, odd_only, mode) over
-    every leading sign tuple, so a lone call walks about 2^(k-1) times the
-    tuples that match; density_table's 2^k sign rows at one x share it.
+    The count is one query over the rows of the walk per (x, k, mode),
+    labelled by sign, so a lone call walks about 2^(k-1) times the tuples
+    that match; density_table's 2^k sign rows at one x share the walk with
+    its reference count and cross-check rows.
     """
     if k < 1 or constraint.k != k:
         raise ValueError("constraint length must equal k >= 1")
@@ -166,8 +174,8 @@ def count_sign_constrained(
     strict = mode is CountMode.SQUAREFREE
     # built first, so a table short of isqrt(x) raises before the walk
     oracle = _sign_oracle(table, x, d, odd_only)
-    ranges = _sign_ranges(table, x, k, d, odd_only, strict)
-    return _count_recorded(ranges, constraint.epsilons, oracle)
+    groups = _sign_groups(table, x, k, d, odd_only, strict)
+    return _count_group(groups, constraint.epsilons, oracle)
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,6 @@ def density_table(
         raise ValueError("x grid must be ascending")
     rows: list[DensityRow] = []
     for x in x_grid:
-        reference = count_almost_primes(table, x, k, None, CountMode.SQUAREFREE)
         total = 0
         for eps in itertools.product((1, -1), repeat=k):
             constraint = SignConstraint(d, eps)
@@ -243,7 +250,9 @@ def density_table(
             total += row.exact_count
             if cross_check:
                 rows.extend(_residue_rows(table, x, k, constraint))
-        rows.append(_row(x, k, d, "sum", total, reference, 1))
+        # every sign row carries the reference; counting the signs first
+        # builds their oracle before the walk, not while its rows are held
+        rows.append(_row(x, k, d, "sum", total, row.reference_count, 1))
         # no later row reads this x's oracles, walks or counts
         _forget(table, x)
     return rows

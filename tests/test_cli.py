@@ -253,6 +253,18 @@ def test_cache_created_and_reused(tmp_path):
     assert cache.stat().st_mtime_ns == stamp  # reused, not rebuilt
 
 
+def test_unreadable_cache_warns_and_builds(tmp_path):
+    # a directory cannot be read as a cache, nor replaced by one
+    args = ("table", "--x", "1000", "--k", "2", "--disc", "5")
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*args).stdout
+    assert f"warning: ignoring SPF cache {tmp_path}" in proc.stderr
+    assert f"warning: could not write SPF cache {tmp_path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
 def test_corrupt_cache_warns_and_rebuilds(tmp_path):
     cache = tmp_path / "spf.bin"
     cache.write_bytes(b"garbage")

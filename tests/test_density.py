@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -281,22 +282,52 @@ def test_density_table_cross_check_blocks(table):
         assert box_totals[eps_row.constraint] == odd_count
 
 
-@pytest.mark.parametrize("cross_check,walks", [(False, 2), (True, 3)])
-def test_density_table_walks_the_tuples_once_per_labelling(
-    monkeypatch, cross_check, walks
-):
-    """At one x: one walk for every sign row, one for the reference, and one
-    for every cross-check row."""
-    calls = []
-    walk = almostprime._walk
+class _WalkLog(dict):
+    """A table memo that notes the (x, k, strict) of every tuple walk it
+    stores; the memo stores each walk as it is made."""
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return walk(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
+        self.walks = []
 
-    monkeypatch.setattr(almostprime, "_walk", counted)
-    q.density_table(q.build_spf_table(10**5), [10**5], 3, 5, cross_check)
-    assert len(calls) == walks
+    def __setitem__(self, key, value):
+        if key[0] is almostprime._tuple_rows.__wrapped__:
+            self.walks.append(key[1])
+        super().__setitem__(key, value)
+
+
+def _walks(monkeypatch, job) -> list:
+    """The walks job makes, as the memo stores them; each walk records its
+    leading primes in one new array("i"), so a walk made outside the memo
+    shows up as one array too many."""
+    table = q.build_spf_table(10**5)
+    table.memo = log = _WalkLog()
+    made = []
+
+    def counted(typecode, *args):
+        made.append(typecode)
+        return array(typecode, *args)
+
+    monkeypatch.setattr(almostprime, "array", counted)
+    job(table)
+    assert made.count("i") == len(log.walks)
+    return log.walks
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_density_table_walks_each_x_once(monkeypatch, cross_check):
+    """The sign rows, the reference and every cross-check row at one x read
+    one walk."""
+    walks = _walks(
+        monkeypatch, lambda t: q.density_table(t, [10**4, 10**5], 3, 5, cross_check)
+    )
+    assert walks == [(10**4, 3, True), (10**5, 3, True)]
+
+
+def test_verify_walks_no_tuples_twice(monkeypatch):
+    walks = _walks(monkeypatch, lambda t: q.run_suite(t, "all", 10**4))
+    assert walks
+    assert len(walks) == len(set(walks))
 
 
 def test_density_table_drops_each_x_from_the_memo():

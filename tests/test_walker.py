@@ -1,8 +1,10 @@
 """Differential property test on random small inputs: every count built on
-the prime-tuple walker against a factorize-and-filter scan (positional
-counts for every residue tuple), the prime-count oracle against the class
-index, and the two ordered-tuple walks against each other."""
+the recorded prime-tuple walk against a factorize-and-filter scan
+(positional counts for every residue tuple), the prime-count oracle against
+the class index, and the two ordered-tuple routes against each other. Then
+the coverage rule at every public counting entry point."""
 
+import dataclasses
 import itertools
 import math
 
@@ -11,9 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcdensity as q
-from qcdensity import CountMode, ResidueConstraint, SignConstraint
+from qcdensity import CountMode, ResidueConstraint, SignConstraint, almostprime
 
-from test_almostprime import _positional_histogram, _scan_count
+from test_almostprime import _positional_histogram, _scan_count, _scan_positional
 from test_density import _scan_signs
 
 
@@ -80,7 +82,7 @@ def test_walker_counts_match_scans(table, case):
         q.count_sign_constrained(short, x, k, signs, mode, case["odd_only"])
         == expected
     )
-    # the two ordered-tuple walks: run-length weights and the literal
+    # the two ordered-tuple routes: run-length weights and the literal
     # character sum over every ordering
     assert q.ordered_tuple_count_via_characters(
         table, x, k, constraint
@@ -96,3 +98,108 @@ def test_prime_counts_over_the_work_budget_raise():
     # r * isqrt(r) = 10^6 * 10^3 updates, r = isqrt(10^12), over 10^8
     with pytest.raises(ValueError, match="exceeds the budget"):
         q.count_almost_primes(q.build_spf_table(10**6), 10**12, 1)
+
+
+def test_the_walk_refuses_a_table_short_of_its_leading_primes():
+    # 31 = isqrt(1000) leads the tuples (2, 31) and (31, 31) at k = 2
+    short = q.build_spf_table(30)
+    with pytest.raises(ValueError, match="exceeds table limit"):
+        almostprime._tuple_rows(short, 1000, 2, False)
+    assert short.memo == {}
+    assert almostprime._tuple_rows(q.build_spf_table(31), 1000, 2, False)[0].max() == 31
+
+
+def _scan_ordered(table, x, k, constraint):
+    """(ordered count, sum of log n, sum of 1/n) over the ordered prime
+    tuples with product <= x matching the constraint, from the factorization
+    of every n <= x: each n counts once per distinct ordering of its primes."""
+    count, logs, recips = 0, 0.0, 0.0
+    for n in range(2, x + 1):
+        slots = [p for p, e in q.factorize(table, n).factors for _ in range(e)]
+        residues = sorted(p % constraint.modulus for p in slots)
+        if len(slots) != k or tuple(residues) != constraint.multiset():
+            continue
+        orderings = len(set(itertools.permutations(slots)))
+        count += orderings
+        logs += orderings * math.log(n)
+        recips += orderings / n
+    return count, logs, recips
+
+
+_X = 1000
+_SQUAREFREE = CountMode.SQUAREFREE
+_RESIDUES = (3, 1, 3)
+
+
+def _classes(k):
+    return ResidueConstraint(4, _RESIDUES[:k])
+
+
+def _signs(k):
+    return SignConstraint(5, (-1, 1, -1)[:k])
+
+
+def _oracle_need(x, k):
+    return math.isqrt(x)
+
+
+def _reduced_level_need(x, k):
+    return almostprime._coverage_need(x, max(k - 1, 1))
+
+
+# entry point: (the table limit it needs, its value, the scan's value)
+_ENTRY_POINTS = {
+    "unconstrained": (
+        _oracle_need,
+        lambda t, k: q.count_almost_primes(t, _X, k),
+        lambda t, k: _scan_count(t, _X, k, ResidueConstraint(1, (0,) * k), _SQUAREFREE),
+    ),
+    "classes": (
+        almostprime._coverage_need,
+        lambda t, k: q.count_almost_primes(t, _X, k, _classes(k)),
+        lambda t, k: _scan_count(t, _X, k, _classes(k), _SQUAREFREE),
+    ),
+    "positional": (
+        almostprime._coverage_need,
+        lambda t, k: q.count_almost_primes_positional(t, _X, k, _RESIDUES[:k], 4),
+        lambda t, k: _scan_positional(t, _X, k, _RESIDUES[:k], 4, _SQUAREFREE),
+    ),
+    "ordered": (
+        almostprime._coverage_need,
+        lambda t, k: q.ordered_tuple_count(t, _X, k, _classes(k)),
+        lambda t, k: _scan_ordered(t, _X, k, _classes(k))[0],
+    ),
+    "characters": (
+        almostprime._coverage_need,
+        lambda t, k: round(
+            q.ordered_tuple_count_via_characters(t, _X, k, _classes(k)), 6
+        ),
+        lambda t, k: _scan_ordered(t, _X, k, _classes(k))[0],
+    ),
+    "tuple_sums": (
+        _reduced_level_need,
+        lambda t, k: pytest.approx(
+            dataclasses.astuple(q.tuple_sums(t, _X, k, _classes(k)))[:3], rel=1e-9
+        ),
+        lambda t, k: _scan_ordered(t, _X, k, _classes(k)),
+    ),
+    "signs": (
+        _oracle_need,
+        lambda t, k: q.count_sign_constrained(t, _X, k, _signs(k)),
+        lambda t, k: _scan_signs(t, _X, k, _signs(k), _SQUAREFREE),
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_entry_point_keeps_the_coverage_rule(table, entry, k):
+    """A table one entry short of the need is refused before any walk is
+    memoised; a table exactly at the need gives the scan's value."""
+    need_of, value, scan = _ENTRY_POINTS[entry]
+    need = need_of(_X, k)
+    short = q.build_spf_table(need - 1)
+    with pytest.raises(ValueError, match="too small"):
+        value(short, k)
+    assert [args for fn, args in short.memo if fn.__name__ == "_tuple_rows"] == []
+    assert value(q.build_spf_table(need), k) == scan(table, k)
