@@ -34,6 +34,7 @@ dict as well.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from array import array
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi
-from .characters import build_character_group
+from .characters import build_character_group, orthogonality_sum
 from .sieve import (
     SpfTable,
     _PrimeCountOracle,
@@ -418,18 +419,8 @@ def ordered_tuple_count_via_characters(
     arrangements = sorted(set(itertools.permutations(constraint.residues)))
     primes = table.primes_list
 
-    # literal inner sums over all characters, memoized per (m, p mod N)
-    inner: dict[tuple[int, int], complex] = {}
-
-    def inner_sum(m: int, r: int) -> complex:
-        key = (m, r)
-        val = inner.get(key)
-        if val is None:
-            val = 0j
-            for idx in range(group.num_characters):
-                val += group.value(idx, m).conjugate() * group.value(idx, r)
-            inner[key] = val
-        return val
+    # the inner sums over all characters, memoised per (m, p mod N)
+    inner_sum = functools.cache(functools.partial(orthogonality_sum, group))
 
     total = 0j
     leading, los, his = _tuple_rows(table, x, k, False)

@@ -49,54 +49,34 @@ class CharacterGroup:
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.group_order = euler_phi(modulus)
-        components = _trial_factorize(modulus) if modulus > 1 else []
-
         generators: list[tuple[int, int]] = []
-        local: list[tuple[int, dict[int, tuple[int, ...]]]] = []
-        for p, e in components:
+        for p, e in _trial_factorize(modulus):
             pe = p**e
-            gens = _component_generators(p, e)
-            logs: dict[int, tuple[int, ...]] = {}
-            if not gens:
-                logs = {u: () for u in range(pe) if math.gcd(u, pe) == 1}
-            elif len(gens) == 1:
-                g, d = gens[0]
-                u = 1
-                for j in range(d):
-                    logs[u] = (j,)
-                    u = u * g % pe
-            else:
-                (g1, d1), (g2, d2) = gens
-                for j1 in range(d1):
-                    for j2 in range(d2):
-                        u = pow(g1, j1, pe) * pow(g2, j2, pe) % pe
-                        logs[u] = (j1, j2)
-            local.append((pe, logs))
             rest = modulus // pe
-            for g, d in gens:
-                lifted, _ = crt_combine([(g, pe), (1 % rest if rest > 1 else 0, rest)])
+            for g, d in _component_generators(p, e):
+                lifted, _ = crt_combine([(g, pe), (1 % rest, rest)])
                 generators.append((lifted, d))
 
         self.generators = tuple(generators)
         self.orders = tuple(d for _, d in generators)
+        # each unit is prod g_i^e_i for exactly one exponent vector e, the
+        # same vectors that index the characters
+        self.characters = tuple(
+            itertools.product(*(range(d) for d in self.orders))
+        )
+        powers = [[pow(g, j, modulus) for j in range(d)] for g, d in generators]
         self._unit_logs: dict[int, tuple[int, ...]] = {}
-        for u in range(modulus):
-            if math.gcd(u, modulus) == 1:
-                vec: tuple[int, ...] = ()
-                for pe, logs in local:
-                    vec = vec + logs[u % pe]
-                self._unit_logs[u] = vec
-        if modulus == 1:
-            self._unit_logs[0] = ()
+        for vec in self.characters:
+            u = 1 % modulus
+            for row, j in zip(powers, vec):
+                u = u * row[j] % modulus
+            self._unit_logs[u] = vec
 
         # lcm of generator orders; every character value is an L-th root of unity
         self._L = math.lcm(*self.orders) if self.orders else 1
         angles = 2.0 * math.pi * np.arange(self._L) / self._L
         self._roots = np.cos(angles) + 1j * np.sin(angles)
         self._roots[0] = 1.0 + 0.0j
-        self.characters = tuple(
-            itertools.product(*(range(d) for d in self.orders))
-        )
         self._weights = tuple(
             tuple(t * (self._L // d) for t, d in zip(chi, self.orders))
             for chi in self.characters
@@ -108,13 +88,6 @@ class CharacterGroup:
     @property
     def num_characters(self) -> int:
         return len(self.characters)
-
-    def unit_exponents(self, n: int) -> tuple[int, ...]:
-        """Exponent vector of n against the generator basis (n must be a unit)."""
-        u = n % self.modulus
-        if u not in self._unit_logs:
-            raise ValueError(f"{n} is not a unit mod {self.modulus}")
-        return self._unit_logs[u]
 
     def value(self, index: int, n: int) -> complex:
         """chi_index(n); 0 for non-units."""

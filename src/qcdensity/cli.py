@@ -5,6 +5,14 @@ Subcommands: primes (prime counts, optionally per residue class), count
 report over an x grid as CSV/JSON), residues (the B(eps) class sets),
 solve (quadratic root count mod n), verify (self-check suites).
 
+Every subcommand works in one order: it checks its arguments (argparse
+checks presence and exclusivity, the library's own constructors such as
+SignConstraint, ResidueConstraint and kronecker_period check values), then
+acquires the prime table with _get_table, computes, and hands a (payload,
+text) pair to _render. So a usage error is reported before any table is
+built or cached. main is the one place where a ValueError, raised by an
+argument check or by the library, becomes a usage error.
+
 Output is deterministic: identical argv yields byte-identical output, and
 JSON is always canonical (sorted keys, tight separators) so that parsing
 and re-serializing reproduces the bytes. Exit codes: 0 success, 1 failed
@@ -18,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .almostprime import (
     CountMode,
@@ -33,7 +42,7 @@ from .density import (
     rows_to_json,
 )
 from .quadratic import QuadraticForm, count_roots_bruteforce
-from .residues import residue_classes_direct
+from .residues import kronecker_period, residue_classes_direct
 from .sieve import (
     _CLASS_MODULUS_LIMIT,
     _oracle_need,
@@ -50,11 +59,9 @@ _MODES = {
     "multiset": CountMode.WITH_MULTIPLICITY,
 }
 
+_SIGNS = {"+": 1, "-": -1}
+
 CACHE_ENV_VAR = "QCD_SPF_CACHE"
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,6 +70,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _render(args, payload, text: str) -> None:
+    """Write payload as canonical JSON under --format json, text otherwise."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    _emit(text, args.out)
 
 
 def _get_table(min_limit: int):
@@ -106,129 +120,107 @@ def _table_need(x: int, k: int, oracle: bool, classes: bool) -> int:
     return need
 
 
-def _parse_classes(raw: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
+def _parse_ints(raw: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        parser.error(f"bad class list {raw!r}; expected comma-separated integers")
-    if not values:
-        parser.error("empty class list")
-    return values
+        raise ValueError(
+            f"bad list {raw!r}; expected comma-separated integers"
+        ) from None
 
 
-def _parse_eps(raw: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    signs = []
-    for ch in raw:
-        if ch == "+":
-            signs.append(1)
-        elif ch == "-":
-            signs.append(-1)
-        else:
-            parser.error(f"bad --eps value {raw!r}; expected a string of + and -")
-    if not signs:
-        parser.error("empty --eps value")
-    return tuple(signs)
+def _parse_eps(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(_SIGNS[ch] for ch in raw)
+    except KeyError:
+        raise ValueError(
+            f"bad --eps value {raw!r}; expected a string of + and -"
+        ) from None
 
 
-def _check_modulus(modulus: int, parser: argparse.ArgumentParser) -> None:
-    # checked before the table is acquired, so a bad --mod costs no sieve
+def _check_modulus(modulus: int, name: str) -> None:
+    # the class index refuses a larger modulus only once it has a table
     if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
-        parser.error(f"--mod must be in 1..{_CLASS_MODULUS_LIMIT}")
+        raise ValueError(f"{name} must be in 1..{_CLASS_MODULUS_LIMIT}")
 
 
-def _cmd_primes(args, parser) -> int:
+def _cmd_primes(args) -> int:
     if args.limit < 2:
-        parser.error("--limit must be >= 2")
+        raise ValueError("--limit must be >= 2")
     if args.mod is not None:
-        _check_modulus(args.mod, parser)
+        _check_modulus(args.mod, "--mod")
+        requested = (
+            _parse_ints(args.classes)
+            if args.classes is not None
+            else tuple(range(args.mod))
+        )
     elif args.classes is not None:
-        parser.error("--classes requires --mod")
+        raise ValueError("--classes requires --mod")
     table = _get_table(args.limit)
     if args.mod is None:
         total = prime_count(table, args.limit)
-        if args.format == "json":
-            _emit(_canonical_json({"count": total, "limit": args.limit}), args.out)
-        else:
-            _emit(f"{total}\n", args.out)
+        _render(args, {"count": total, "limit": args.limit}, f"{total}\n")
         return 0
-    requested = (
-        _parse_classes(args.classes, parser)
-        if args.classes is not None
-        else tuple(range(args.mod))
-    )
-    try:
-        counts = [
-            (a, prime_count_in_class(table, args.limit, a % args.mod, args.mod))
-            for a in requested
-        ]
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        payload = {
-            "classes": [{"count": c, "residue": a} for a, c in counts],
-            "limit": args.limit,
-            "mod": args.mod,
-        }
-        _emit(_canonical_json(payload), args.out)
-    elif len(counts) == 1:
-        _emit(f"{counts[0][1]}\n", args.out)
+    counts = [
+        (a, prime_count_in_class(table, args.limit, a % args.mod, args.mod))
+        for a in requested
+    ]
+    payload = {
+        "classes": [{"count": c, "residue": a} for a, c in counts],
+        "limit": args.limit,
+        "mod": args.mod,
+    }
+    if len(counts) == 1:
+        text = f"{counts[0][1]}\n"
     else:
-        _emit("".join(f"{a},{c}\n" for a, c in counts), args.out)
+        text = "".join(f"{a},{c}\n" for a, c in counts)
+    _render(args, payload, text)
     return 0
 
 
-def _cmd_count(args, parser) -> int:
-    if args.classes is not None and args.eps is not None:
-        parser.error("--classes and --eps are mutually exclusive")
+def _cmd_count(args) -> int:
     if args.x < 1 or args.k < 1:
-        parser.error("--x and --k must be >= 1")
-    mode = _MODES[args.mode]
+        raise ValueError("--x and --k must be >= 1")
+    payload: dict = {"k": args.k, "mode": args.mode, "x": args.x}
+    constraint = None
     if args.eps is not None:
         if args.disc is None:
-            parser.error("--eps requires --disc")
-        eps = _parse_eps(args.eps, parser)
+            raise ValueError("--eps requires --disc")
+        constraint = SignConstraint(args.disc, _parse_eps(args.eps))
+        payload.update(disc=args.disc, eps=args.eps)
     elif args.classes is not None:
         if args.mod is None:
-            parser.error("--classes requires --mod")
-        _check_modulus(args.mod, parser)
-        residues = _parse_classes(args.classes, parser)
+            raise ValueError("--classes requires --mod")
+        _check_modulus(args.mod, "--mod")
+        constraint = ResidueConstraint(args.mod, _parse_ints(args.classes))
+        payload.update(classes=list(constraint.residues), mod=args.mod)
     elif args.mod is not None:
-        parser.error("--mod requires --classes")
+        raise ValueError("--mod requires --classes")
+    if constraint is not None and constraint.k != args.k:
+        raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
     classes = args.classes is not None
     need = _table_need(args.x, args.k, not classes, classes)
     table = _get_table(max(need, args.limit or 2))
-    payload: dict = {"k": args.k, "mode": args.mode, "x": args.x}
-    try:
-        if args.eps is not None:
-            constraint = SignConstraint(args.disc, eps)
-            value = count_sign_constrained(table, args.x, args.k, constraint, mode)
-            payload["disc"] = args.disc
-            payload["eps"] = args.eps
-        elif args.classes is not None:
-            constraint = ResidueConstraint(args.mod, residues)
-            value = count_almost_primes(table, args.x, args.k, constraint, mode)
-            payload["classes"] = list(constraint.residues)
-            payload["mod"] = args.mod
-        else:
-            value = count_almost_primes(table, args.x, args.k, None, mode)
-    except ValueError as exc:
-        parser.error(str(exc))
-    payload["count"] = value
-    if args.format == "json":
-        _emit(_canonical_json(payload), args.out)
+    mode = _MODES[args.mode]
+    if args.eps is not None:
+        value = count_sign_constrained(table, args.x, args.k, constraint, mode)
     else:
-        _emit(f"{value}\n", args.out)
+        value = count_almost_primes(table, args.x, args.k, constraint, mode)
+    payload["count"] = value
+    _render(args, payload, f"{value}\n")
     return 0
 
 
-def _cmd_table(args, parser) -> int:
-    if args.disc is None:
-        parser.error("table requires --disc")
-    grid = _parse_classes(args.x, parser)
+def _cmd_table(args) -> int:
+    grid = _parse_ints(args.x)
     if list(grid) != sorted(grid) or grid[0] < 1:
-        parser.error("--x must be an ascending list of positive integers")
+        raise ValueError("--x must be an ascending list of positive integers")
     if args.k < 1:
-        parser.error("--k must be >= 1")
+        raise ValueError("--k must be >= 1")
+    period = kronecker_period(args.disc)
+    if args.cross_check:
+        # the residue-class rows index the primes mod the period Q of D
+        _check_modulus(period, f"under --cross-check, the period Q = {period}")
     need = _table_need(max(grid), args.k, True, args.cross_check)
     table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()
@@ -241,15 +233,10 @@ def _cmd_table(args, parser) -> int:
             and time.monotonic() - start > args.budget_seconds
         ):
             break
-        try:
-            rows.extend(
-                density_table(table, [x], args.k, args.disc, args.cross_check)
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
+        rows.extend(density_table(table, [x], args.k, args.disc, args.cross_check))
         completed += 1
-    payload = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
-    _emit(payload, args.out)
+    text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
+    _emit(text, args.out)
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
     if completed < len(grid):
         print(
@@ -260,75 +247,48 @@ def _cmd_table(args, parser) -> int:
     return 0
 
 
-def _cmd_residues(args, parser) -> int:
-    if args.disc is None:
-        parser.error("residues requires --disc")
-    eps = _parse_eps(args.eps, parser)
+def _cmd_residues(args) -> int:
+    eps = _parse_eps(args.eps)
     if len(eps) != 1:
-        parser.error("residues takes a single-sign --eps (+ or -)")
-    try:
-        rcs = residue_classes_direct(args.disc, eps[0])
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        payload = {
-            "classes": list(rcs.classes),
-            "disc": args.disc,
-            "eps": "+" if eps[0] == 1 else "-",
-            "modulus": rcs.modulus,
-            "size": len(rcs.classes),
-        }
-        _emit(_canonical_json(payload), args.out)
-    else:
-        lines = [str(a) for a in rcs.classes]
-        lines.append(f"Q={rcs.modulus} size={len(rcs.classes)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        raise ValueError("residues takes a single-sign --eps (+ or -)")
+    rcs = residue_classes_direct(args.disc, eps[0])
+    payload = {
+        "classes": list(rcs.classes),
+        "disc": args.disc,
+        "eps": args.eps,
+        "modulus": rcs.modulus,
+        "size": len(rcs.classes),
+    }
+    lines = [str(a) for a in rcs.classes]
+    lines.append(f"Q={rcs.modulus} size={len(rcs.classes)}")
+    _render(args, payload, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_solve(args, parser) -> int:
-    try:
-        form = QuadraticForm(args.b, args.c)
-        roots = count_roots_bruteforce(form, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        payload = {"b": args.b, "c": args.c, "n": args.n, "roots": roots}
-        _emit(_canonical_json(payload), args.out)
-    else:
-        _emit(f"{roots}\n", args.out)
+def _cmd_solve(args) -> int:
+    form = QuadraticForm(args.b, args.c)
+    roots = count_roots_bruteforce(form, args.n)
+    payload = {"b": args.b, "c": args.c, "n": args.n, "roots": roots}
+    _render(args, payload, f"{roots}\n")
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     if args.x < 100:
-        parser.error("--x must be >= 100")
+        raise ValueError("--x must be >= 100")
     limit = max(args.limit or 10**5, args.x)
     table = _get_table(limit)
     start = time.monotonic()
-    try:
-        results = run_suite(table, args.suite, args.x)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {
-                    "detail": r.detail,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "suite": r.suite,
-                }
-                for r in results
-            ],
-            "failed": sum(1 for r in results if not r.passed),
-            "passed": sum(1 for r in results if r.passed),
-        }
-        _emit(_canonical_json(payload), args.out)
-    else:
-        _emit(format_report(results), args.out)
+    results = run_suite(table, args.suite, args.x)
+    passed = sum(r.passed for r in results)
+    payload = {
+        "checks": [asdict(r) for r in results],
+        "failed": len(results) - passed,
+        "passed": passed,
+    }
+    _render(args, payload, format_report(results))
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if passed == len(results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--x", type=int, required=True)
     count.add_argument("--k", type=int, required=True)
     count.add_argument("--mod", type=int)
-    count.add_argument("--classes", help="residue multiset, e.g. 1,3")
     count.add_argument("--disc", type=int)
-    count.add_argument("--eps", help="sign per position, e.g. +- (use --eps=+-)")
+    constraint = count.add_mutually_exclusive_group()
+    constraint.add_argument("--classes", help="residue multiset, e.g. 1,3")
+    constraint.add_argument("--eps", help="sign per position, e.g. +- (use --eps=+-)")
     count.add_argument("--mode", choices=sorted(_MODES), default="squarefree")
     count.add_argument("--limit", type=int, help="minimum prime-table limit")
     add_common(count)
@@ -418,7 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
-        return _HANDLERS[args.command](args, parser)
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        # an argument check or the library refused a value
+        parser.error(str(exc))
     except OSError as exc:
         # runtime I/O failure (e.g. --out into a missing directory), not a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,24 @@ def test_group_has_phi_characters(modulus):
     assert group.num_characters == _phi(modulus)
 
 
+def test_unit_logs_are_exponent_vectors_against_the_generators():
+    # every unit mod N has one exponent vector within the generator orders,
+    # and the generators raised to it give the unit back
+    for modulus in range(1, 201):
+        group = q.build_character_group(modulus)
+        logs = group._unit_logs
+        units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+        assert sorted(logs) == units
+        assert len(set(logs.values())) == len(units)
+        for u, vec in logs.items():
+            assert len(vec) == len(group.orders)
+            assert all(0 <= e < d for e, d in zip(vec, group.orders))
+            product = 1
+            for (g, _), e in zip(group.generators, vec):
+                product = product * pow(g, e, modulus) % modulus
+            assert product % modulus == u
+
+
 @pytest.mark.parametrize("modulus", [1, 4, 5, 12, 40])
 def test_index_zero_is_principal(modulus):
     group = q.build_character_group(modulus)

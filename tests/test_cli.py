@@ -196,10 +196,32 @@ def test_out_flag_unwritable_path(tmp_path):
     # these exit 2 rather than building (or refusing) a table first
     ("count", "--x", "1000000000", "--k", "1", "--mod", "100001", "--classes", "1"),
     ("primes", "--limit", "200000000", "--mod", "100001"),
+    # values the library refuses: main maps its ValueError to a usage error
+    ("solve", "--b", "0", "--c", "1", "--n", "0"),
+    ("residues", "--disc", "4"),
+    ("table", "--x", "100", "--k", "2", "--disc", "4"),
+    ("count", "--x", "50", "--k", "2", "--disc", "9", "--eps=++"),
+    ("count", "--x", "50", "--k", "2", "--mod", "4", "--classes", "1,2"),
 ])
 def test_usage_errors_exit_two(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("table", "--x", "100000", "--k", "3", "--disc", "4"),
+    ("count", "--x", "100000", "--k", "2", "--disc", "9", "--eps=++"),
+    ("count", "--x", "100000", "--k", "2", "--mod", "4", "--classes", "1,2"),
+    # the period 400012 is over the class-modulus limit of the cross-check
+    ("table", "--x", "1000", "--k", "1", "--disc", "100003", "--cross-check"),
+])
+def test_usage_error_acquires_no_table(args, tmp_path):
+    cache = tmp_path / "spf.bin"
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("args", [
