@@ -7,11 +7,11 @@ solve (quadratic root count mod n), verify (self-check suites).
 
 Every subcommand works in one order: it checks its arguments (argparse
 checks presence and exclusivity, the library's own constructors such as
-SignConstraint, ResidueConstraint and kronecker_period check values), then
-acquires the prime table with _get_table, computes, and hands a (payload,
-text) pair to _render. So a usage error is reported before any table is
-built or cached. main is the one place where a ValueError, raised by an
-argument check or by the library, becomes a usage error.
+SignConstraint, ResidueConstraint and residues._enumerable_period check
+values), then acquires the prime table with _get_table, computes, and hands
+a (payload, text) pair to _render. So a usage error is reported before any
+table is built or cached. main is the one place where a ValueError, raised
+by an argument check or by the library, becomes a usage error.
 
 Output is deterministic: identical argv yields byte-identical output, and
 JSON is always canonical (sorted keys, tight separators) so that parsing
@@ -42,7 +42,7 @@ from .density import (
     rows_to_json,
 )
 from .quadratic import QuadraticForm, count_roots_bruteforce
-from .residues import kronecker_period, residue_classes_direct
+from .residues import _enumerable_period, residue_classes_direct
 from .sieve import (
     _CLASS_MODULUS_LIMIT,
     _oracle_need,
@@ -80,19 +80,24 @@ def _render(args, payload, text: str) -> None:
 
 
 def _get_table(min_limit: int):
-    """Build the SPF table, or reuse/refresh the cache named by
-    QCD_SPF_CACHE when it is set."""
+    """The SPF table to max(min_limit, 2): built, or, when QCD_SPF_CACHE
+    names a cache, loaded from it. A load reads and checks only the entries
+    up to that limit, however large the file. A cache that is unreadable,
+    corrupt or shorter than the limit is rebuilt and overwritten."""
     limit = max(min_limit, 2)
     path = os.environ.get(CACHE_ENV_VAR)
     if path and os.path.exists(path):
         try:
-            cached = load_spf_cache(path)
+            cached = load_spf_cache(path, limit=limit)
         except (OSError, ValueError) as exc:
             # unreadable (a directory, no permission) or corrupt: rebuilt
             print(f"warning: ignoring SPF cache {path}: {exc}", file=sys.stderr)
         else:
-            if cached.limit >= limit:
+            if cached.limit == limit:
                 return cached
+            # shorter than the need: freed before the rebuild, not held
+            # alongside it
+            del cached
     try:
         table = build_spf_table(limit)
     except ValueError as exc:
@@ -187,6 +192,7 @@ def _cmd_count(args) -> int:
         if args.disc is None:
             raise ValueError("--eps requires --disc")
         constraint = SignConstraint(args.disc, _parse_eps(args.eps))
+        _enumerable_period(args.disc)
         payload.update(disc=args.disc, eps=args.eps)
     elif args.classes is not None:
         if args.mod is None:
@@ -217,7 +223,7 @@ def _cmd_table(args) -> int:
         raise ValueError("--x must be an ascending list of positive integers")
     if args.k < 1:
         raise ValueError("--k must be >= 1")
-    period = kronecker_period(args.disc)
+    period = _enumerable_period(args.disc)
     if args.cross_check:
         # the residue-class rows index the primes mod the period Q of D
         _check_modulus(period, f"under --cross-check, the period Q = {period}")

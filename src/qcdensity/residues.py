@@ -54,15 +54,23 @@ def kronecker_period(d: int) -> int:
     return q
 
 
+def _enumerable_period(d: int) -> int:
+    """kronecker_period(d), which every class-by-class scan mod Q runs over.
+    Raises ValueError when Q is over the enumeration limit, before anything
+    is allocated, so callers can refuse such a d before they do any work."""
+    q = kronecker_period(d)
+    if q > _ENUMERATION_LIMIT:
+        raise ValueError(f"period {q} exceeds the enumeration limit")
+    return q
+
+
 @lru_cache(maxsize=None)
 def _unit_symbols(d: int) -> np.ndarray:
     """The symbol of d's squarefree kernel at every a mod Q, as int8: +-1 on
     the units, 0 elsewhere; that is, the real character mod Q that gives
     (d/p) for every prime p not dividing 2d. Computed once per d, and
     read-only because every caller shares it."""
-    q = kronecker_period(d)
-    if q > _ENUMERATION_LIMIT:
-        raise ValueError(f"period {q} exceeds the enumeration limit")
+    q = _enumerable_period(d)
     kval = squarefree_kernel(d).value()
     units = [a for a in range(1, q, 2) if math.gcd(a, q) == 1]
     symbols = np.zeros(q, dtype=np.int8)
@@ -117,9 +125,7 @@ def residue_classes_constructive(d: int, epsilon: int) -> ResidueClassSet:
     kernel = squarefree_kernel(d)
     if kernel.is_perfect_square:
         raise ValueError("d must not be a perfect square")
-    q_total = kronecker_period(d)
-    if q_total > _ENUMERATION_LIMIT:
-        raise ValueError(f"period {q_total} exceeds the enumeration limit")
+    q_total = _enumerable_period(d)
     has_two = 2 in kernel.odd_exponent_primes
     odd_primes = [p for p in kernel.odd_exponent_primes if p != 2]
     branch_mod = 8 if has_two else 4

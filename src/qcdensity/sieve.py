@@ -27,12 +27,15 @@ memo dict, so they are freed with the table, or earlier by _forget.
 
 Tables round-trip through a small binary cache format: magic "SPF1", the
 limit as an 8-byte little-endian integer, then one 4-byte little-endian
-entry per n = 2..limit. The cache is written to a temporary file that then
-replaces the old one, so a failed write never leaves a torn cache. Loading
-reads the payload straight into the table's array, with no copy, and
-rejects a file whose length does not match its limit or whose content
-fails cheap sieve checks (sampled smallest prime factors, pinned prime
-counts), so a corrupt cache is rebuilt rather than trusted.
+entry per n = 2..limit. The cache is written from the table's array,
+with no copy, to a temporary file that then replaces the old one, so a
+failed write never leaves a torn cache. Loading reads only the entries up
+to the limit the caller needs, straight into the table's array, so a warm
+cache costs what the command needs rather than what the file holds. It
+rejects a file whose length does not match its header limit, at any
+limit, and a slice whose content fails cheap sieve checks (sampled
+smallest prime factors, pinned prime counts), so every load checks what
+it reads and a corrupt cache is rebuilt rather than trusted.
 """
 
 from __future__ import annotations
@@ -369,7 +372,9 @@ def save_spf_cache(table: SpfTable, path: str) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<Q", table.limit))
-            fh.write(np.ascontiguousarray(table.spf[2:], dtype="<u4").tobytes())
+            # written from the array itself: a view, not a copy, on a
+            # little-endian host
+            fh.write(np.ascontiguousarray(table.spf[2:], dtype="<u4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -401,10 +406,19 @@ def _check_content(table: SpfTable) -> None:
             raise ValueError(f"cache gives pi(10^{j}) = {got}, not {expected}")
 
 
-def load_spf_cache(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:
-    """Load a table written by save_spf_cache. Raises ValueError on a bad
-    magic or limit, a payload that is short or over-long, or content that
-    fails _check_content."""
+def load_spf_cache(
+    path: str, max_entries: int = DEFAULT_MAX_ENTRIES, limit: int | None = None
+) -> SpfTable:
+    """Load a table written by save_spf_cache, reading only its entries up
+    to limit: the table's limit is the smaller of limit and the file's, and
+    the whole file when limit is None.
+
+    Raises ValueError on a bad magic or header limit, a header limit over
+    the entry budget, a file whose length does not match its header limit
+    (whatever limit is asked for), or a slice that fails _check_content.
+    """
+    if limit is not None and limit < 2:
+        raise ValueError("limit must be >= 2")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -412,18 +426,22 @@ def load_spf_cache(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTabl
         raw = fh.read(8)
         if len(raw) != 8:
             raise ValueError("truncated cache header")
-        (limit,) = struct.unpack("<Q", raw)
-        if limit < 2:
-            raise ValueError(f"bad cache limit {limit}")
-        if limit + 1 > max_entries:
+        (file_limit,) = struct.unpack("<Q", raw)
+        if file_limit < 2:
+            raise ValueError(f"bad cache limit {file_limit}")
+        if file_limit + 1 > max_entries:
             raise ValueError(
-                f"cached table of {limit + 1} entries exceeds the budget of {max_entries}"
+                f"cached table of {file_limit + 1} entries exceeds the budget"
+                f" of {max_entries}"
             )
+        # the 12-byte header and the whole payload, however much is read
+        if os.fstat(fh.fileno()).st_size != 12 + 4 * (file_limit - 1):
+            raise ValueError("cache payload length does not match limit")
+        if limit is None or limit > file_limit:
+            limit = file_limit
         spf = np.zeros(limit + 1, dtype="<u4")
-        # the payload goes straight into the table's array, and must end
-        # the file
-        read = fh.readinto(spf[2:].view(np.uint8))
-        if read != 4 * (limit - 1) or fh.read(1):
+        # the slice goes straight into the table's array
+        if fh.readinto(spf[2:].view(np.uint8)) != 4 * (limit - 1):
             raise ValueError("cache payload length does not match limit")
     table = SpfTable(int(limit), spf)
     _check_content(table)

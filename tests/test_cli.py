@@ -1,13 +1,16 @@
-"""End-to-end CLI behavior through subprocess invocations."""
+"""End-to-end CLI behavior through subprocess invocations, and table
+acquisition in process."""
 
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import qcdensity
+from qcdensity import cli
 
 # the CLI under test is the package these tests import
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(qcdensity.__file__))
@@ -214,6 +217,9 @@ def test_usage_errors_exit_two(args):
     ("count", "--x", "100000", "--k", "2", "--mod", "4", "--classes", "1,2"),
     # the period 400012 is over the class-modulus limit of the cross-check
     ("table", "--x", "1000", "--k", "1", "--disc", "100003", "--cross-check"),
+    # the period 4000012 is over the enumeration limit of the sign labels
+    ("table", "--x", "50", "--k", "2", "--disc", "1000003"),
+    ("count", "--x", "50", "--k", "2", "--disc", "1000003", "--eps=++"),
 ])
 def test_usage_error_acquires_no_table(args, tmp_path):
     cache = tmp_path / "spf.bin"
@@ -294,3 +300,48 @@ def test_corrupt_cache_warns_and_rebuilds(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == "168\n"
     assert "ignoring SPF cache" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def million_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("warm") / "spf.bin"
+    proc = run_cli("primes", "--limit", "1000000", env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 0 and proc.stdout == "78498\n"
+    return cache
+
+
+@pytest.mark.parametrize("args", [
+    ("primes", "--limit", "100"),
+    ("table", "--x", "1000", "--k", "2", "--disc", "5"),
+])
+def test_warm_cache_prefix_matches_a_cold_run(million_cache, args):
+    # the job needs far fewer entries than the cache holds: it reads a prefix
+    before = million_cache.stat()
+    warm = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(million_cache)})
+    assert warm.returncode == 0
+    assert warm.stdout == run_cli(*args).stdout
+    assert "warning" not in warm.stderr
+    after = million_cache.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def test_a_short_cache_is_freed_before_the_rebuild(tmp_path, monkeypatch):
+    cache = tmp_path / "spf.bin"
+    qcdensity.save_spf_cache(qcdensity.build_spf_table(1000), str(cache))
+    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
+    loaded = []
+
+    def load(*args, **kwargs):
+        table = qcdensity.load_spf_cache(*args, **kwargs)
+        loaded.append(weakref.ref(table))
+        return table
+
+    def build(*args, **kwargs):
+        # the 1000-entry table does not cover 5000, and is no longer held
+        assert [ref() for ref in loaded] == [None]
+        return qcdensity.build_spf_table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_spf_cache", load)
+    monkeypatch.setattr(cli, "build_spf_table", build)
+    assert cli._get_table(5000).limit == 5000
+    assert qcdensity.load_spf_cache(str(cache)).limit == 5000

@@ -261,3 +261,66 @@ def test_class_index_labels_every_residue(table, modulus):
     for a in sorted({a % modulus for a in (1, 2, modulus - 1, int(residues[-1]))}):
         expected = int(np.count_nonzero(residues == a))
         assert idx.count_ranges(a, 0, table.limit) == expected, a
+
+
+def _saved(tmp_path, limit):
+    table = q.build_spf_table(limit)
+    path = tmp_path / "spf.bin"
+    q.save_spf_cache(table, str(path))
+    return table, path
+
+
+@pytest.mark.parametrize("limit", [2, 3, 100, 4999, 5000, 19999, 20000])
+def test_cache_prefix_equals_a_fresh_table(tmp_path, limit):
+    _, path = _saved(tmp_path, 20000)
+    loaded = q.load_spf_cache(str(path), limit=limit)
+    fresh = q.build_spf_table(limit)
+    assert loaded.limit == limit
+    assert (loaded.spf == fresh.spf).all()
+    assert loaded.primes_list == fresh.primes_list
+
+
+def test_cache_limit_past_the_file_gives_the_whole_file(tmp_path):
+    table, path = _saved(tmp_path, 5000)
+    loaded = q.load_spf_cache(str(path), limit=10**6)
+    assert loaded.limit == 5000
+    assert (loaded.spf == table.spf).all()
+
+
+def test_cache_checks_only_the_slice_it_reads(tmp_path):
+    table, path = _saved(tmp_path, 20000)
+    limit = 5000
+    # a composite the whole-file check samples, past the slice
+    past = next(
+        int(n) for n in sieve._sample_points(20000)
+        if n > limit and table.spf[n] != n
+    )
+    _corrupt_entry(path, past, int(table.spf[past]) ^ (1 << 30))
+    assert (q.load_spf_cache(str(path), limit=limit).spf == table.spf[: limit + 1]).all()
+    with pytest.raises(ValueError):
+        q.load_spf_cache(str(path))
+    # a composite inside the slice, sampled there
+    inside = next(
+        int(n) for n in reversed(sieve._sample_points(limit)) if table.spf[n] != n
+    )
+    q.save_spf_cache(table, str(path))
+    _corrupt_entry(path, inside, int(table.spf[inside]) ^ (1 << 30))
+    with pytest.raises(ValueError):
+        q.load_spf_cache(str(path), limit=limit)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:-4],
+    lambda raw: raw + b"\x00\x00\x00\x00",
+], ids=["truncated", "over-long"])
+def test_cache_length_is_checked_at_any_limit(tmp_path, edit):
+    _, path = _saved(tmp_path, 20000)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match="payload length"):
+        q.load_spf_cache(str(path), limit=100)
+
+
+def test_cache_refuses_a_limit_below_two(tmp_path):
+    _, path = _saved(tmp_path, 500)
+    with pytest.raises(ValueError):
+        q.load_spf_cache(str(path), limit=1)
