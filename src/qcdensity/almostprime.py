@@ -13,15 +13,18 @@ Integer counts group the rows by one vectorised labelling of their leading
 primes (_group_rows, memoised per labelling) and make one count_ranges
 query: the primes of the last target label, over the ranges of the group
 of the leading targets. Labelled by p mod N (_residue_groups), the rows
-serve positional counts and residue-multiset counts, on the labelled prime
-index; with no label, unconstrained counts, on a prime-count oracle; by
-Kronecker sign, the sign counts of density.py, on its sign oracle. The one
-coverage rule, _check_coverage, guards every consumer of the labelled prime
-index before it reads the rows: the last position reaches
-_coverage_need(x, k) = x / 2^(k-1), so the index needs every prime up to
-there. A prime-count oracle for x answers every last position up to x; it
-is a lookup into counts its caller builds from the table's primes up to
-isqrt(x) (sieve._oracle_primes), which bound every leading prime too.
+serve positional counts, on the class oracle of sieve.py, and
+residue-multiset counts, on the labelled prime index; with no label,
+unconstrained counts, on a prime-count oracle; by Kronecker sign, the sign
+counts of density.py, on its sign oracle. The one coverage rule,
+_check_coverage, guards every consumer of the labelled prime index before
+it reads the rows: the last position reaches _coverage_need(x, k) =
+x / 2^(k-1), so the index needs every prime up to there. A prime-count
+oracle for x answers every last position up to x; it is a lookup into
+counts built from the table's primes up to isqrt(x)
+(sieve._oracle_primes), which bound every leading prime too. So
+positional, sign and unconstrained counts need the table only up to
+isqrt(x).
 
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats weights each
@@ -48,6 +51,7 @@ from .characters import build_character_group, orthogonality_sum
 from .sieve import (
     SpfTable,
     _PrimeCountOracle,
+    _class_oracle,
     _prime_count_grid,
     _table_memo,
     prime_count,
@@ -243,7 +247,9 @@ def count_almost_primes_positional(
     residues[i] mod modulus (sorted with multiplicity in that mode).
 
     The count is one query over the rows of the walk per (x, k, mode),
-    labelled by residue, so a lone call walks every leading tuple, about
+    labelled by residue, on the class oracle for (x, modulus), so it needs
+    the table only up to isqrt(x), and modulus faces the class budget of
+    sieve._class_oracle_need. A lone call walks every leading tuple, about
     phi(modulus)^(k-1) times the tuples that match; its one caller outside
     the tests, the cross-check rows of density.py, asks for every residue
     tuple of the same walk. Residue-multiset counts (count_almost_primes
@@ -258,9 +264,9 @@ def count_almost_primes_positional(
         raise ValueError("modulus must be >= 1")
     strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
-    _check_coverage(table, x, k)
-    cidx = table.class_index(modulus)
-    return _count_group(_residue_groups(table, x, k, modulus, strict), res, cidx)
+    # built first, so a table short of isqrt(x) raises before the walk
+    oracle = _class_oracle(table, x, modulus)
+    return _count_group(_residue_groups(table, x, k, modulus, strict), res, oracle)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:

@@ -45,12 +45,14 @@ from .quadratic import QuadraticForm, count_roots_bruteforce
 from .residues import _enumerable_period, residue_classes_direct
 from .sieve import (
     _CLASS_MODULUS_LIMIT,
+    _class_oracle_need,
     _oracle_need,
     build_spf_table,
     load_spf_cache,
     prime_count,
     prime_count_in_class,
     save_spf_cache,
+    spf_cache_limit,
 )
 from .verify import SUITES, format_report, run_suite
 
@@ -83,21 +85,17 @@ def _get_table(min_limit: int):
     """The SPF table to max(min_limit, 2): built, or, when QCD_SPF_CACHE
     names a cache, loaded from it. A load reads and checks only the entries
     up to that limit, however large the file. A cache that is unreadable,
-    corrupt or shorter than the limit is rebuilt and overwritten."""
+    corrupt or shorter than the limit is rebuilt and overwritten; a shorter
+    one is told by its header, and none of its entries is read."""
     limit = max(min_limit, 2)
     path = os.environ.get(CACHE_ENV_VAR)
     if path and os.path.exists(path):
         try:
-            cached = load_spf_cache(path, limit=limit)
+            if spf_cache_limit(path) >= limit:
+                return load_spf_cache(path, limit=limit)
         except (OSError, ValueError) as exc:
             # unreadable (a directory, no permission) or corrupt: rebuilt
             print(f"warning: ignoring SPF cache {path}: {exc}", file=sys.stderr)
-        else:
-            if cached.limit == limit:
-                return cached
-            # shorter than the need: freed before the rebuild, not held
-            # alongside it
-            del cached
     try:
         table = build_spf_table(limit)
     except ValueError as exc:
@@ -111,17 +109,24 @@ def _get_table(min_limit: int):
     return table
 
 
-def _table_need(x: int, k: int, oracle: bool, classes: bool) -> int:
-    """The table limit a count at x needs: the prime-count oracle (sign and
-    unconstrained counts) reads its primes up to isqrt(x), the residue
-    classes its primes up to x / 2^(k-1). An oracle over its work budget is
-    a runtime limit (exit 1), as an oversized table is in _get_table."""
-    need = _coverage_need(x, k) if classes else 0
-    if oracle:
-        try:
-            need = max(need, _oracle_need(x))
-        except ValueError as exc:
-            sys.exit(f"error: {exc}")
+def _table_need(
+    x: int, k: int, classes: bool = False, modulus: int | None = None
+) -> int:
+    """The table limit a count at x needs: the labelled prime index of the
+    residue-class counts reads its primes up to x / 2^(k-1); every oracle
+    reads its primes up to isqrt(x): the prime-count oracle of the sign and
+    unconstrained counts, and, given a modulus, the class oracle of the
+    cross-check rows, which also checks its class budget. An oracle over its
+    budget is a runtime limit (exit 1), as an oversized table is in
+    _get_table."""
+    if classes:
+        return _coverage_need(x, k)
+    try:
+        need = _oracle_need(x)
+        if modulus is not None:
+            _class_oracle_need(x, modulus)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     return need
 
 
@@ -144,7 +149,8 @@ def _parse_eps(raw: str) -> tuple[int, ...]:
 
 
 def _check_modulus(modulus: int, name: str) -> None:
-    # the class index refuses a larger modulus only once it has a table
+    # the class index and the class oracle refuse a larger modulus only
+    # once they have a table
     if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
         raise ValueError(f"{name} must be in 1..{_CLASS_MODULUS_LIMIT}")
 
@@ -204,8 +210,7 @@ def _cmd_count(args) -> int:
         raise ValueError("--mod requires --classes")
     if constraint is not None and constraint.k != args.k:
         raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
-    classes = args.classes is not None
-    need = _table_need(args.x, args.k, not classes, classes)
+    need = _table_need(args.x, args.k, args.classes is not None)
     table = _get_table(max(need, args.limit or 2))
     mode = _MODES[args.mode]
     if args.eps is not None:
@@ -225,9 +230,9 @@ def _cmd_table(args) -> int:
         raise ValueError("--k must be >= 1")
     period = _enumerable_period(args.disc)
     if args.cross_check:
-        # the residue-class rows index the primes mod the period Q of D
+        # the residue-class rows count the primes mod the period Q of D
         _check_modulus(period, f"under --cross-check, the period Q = {period}")
-    need = _table_need(max(grid), args.k, True, args.cross_check)
+    need = _table_need(max(grid), args.k, modulus=period if args.cross_check else None)
     table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()
     rows = []

@@ -18,10 +18,13 @@ character chi mod Q, except that each prime dividing 2D takes (D/p) itself
 one prime sum of chi (sieve._prime_sums), with the primes dividing 2D moved
 to their own label; they need the table's primes only up to isqrt(x). The
 unconstrained reference counts read the same rows, unlabelled, on the
-every-prime oracle. The residue-class rows of a cross-check run on the
-labelled prime index, so they need the primes up to x / 2^(k-1) and check
-the sign rows by an independent route; their phi(Q)^k rows at one x read
-the same rows again, labelled by residue. So a table costs one tuple walk
+every-prime oracle. The residue-class rows of a cross-check are
+positional counts on the class oracle of sieve.py, whose counts come from
+class arithmetic alone, with no symbol and no chi: they check the sign
+rows by an independent route and need the table only up to isqrt(x), as
+the sign rows do, but their phi(Q) coupled rows face the class budget of
+sieve._class_oracle_need. Their phi(Q)^k rows at one x read the same rows
+of the walk again, labelled by residue. So a table costs one tuple walk
 per x, with or without the cross-check. Once an x's rows are made,
 density_table drops that x's oracles, walk, row groups and counts from the
 table's memo, so a grid holds the entries of one x at a time.

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import crt_combine, euler_phi, kronecker, squarefree_kernel
+from .sieve import build_spf_table
 
 _ENUMERATION_LIMIT = 10**6
 
@@ -69,12 +70,28 @@ def _unit_symbols(d: int) -> np.ndarray:
     """The symbol of d's squarefree kernel at every a mod Q, as int8: +-1 on
     the units, 0 elsewhere; that is, the real character mod Q that gives
     (d/p) for every prime p not dividing 2d. Computed once per d, and
-    read-only because every caller shares it."""
+    read-only because every caller shares it.
+
+    The symbol is completely multiplicative in a, so kronecker runs only at
+    the primes below Q that do not divide it (the others take 0, and so
+    does every non-unit). Each a then takes the symbol at its smallest
+    prime factor p times the one at a // p <= a / 2, filled over doubling
+    ranges of a, so each range reads only the ranges below it.
+    """
     q = _enumerable_period(d)
     kval = squarefree_kernel(d).value()
-    units = [a for a in range(1, q, 2) if math.gcd(a, q) == 1]
+    table = build_spf_table(q)
+    at_prime = np.zeros(q + 1, dtype=np.int8)
+    coprime = [p for p in table.primes_list if q % p]
+    at_prime[coprime] = [kronecker(kval, p) for p in coprime]
     symbols = np.zeros(q, dtype=np.int8)
-    symbols[units] = [kronecker(kval, a) for a in units]
+    symbols[1] = 1
+    lo = 2
+    while lo < q:
+        hi = min(2 * lo, q)
+        p = table.spf[lo:hi]
+        symbols[lo:hi] = at_prime[p] * symbols[np.arange(lo, hi) // p]
+        lo = hi
     symbols.setflags(write=False)
     return symbols
 

@@ -13,14 +13,24 @@ lo, hi): the primes with that label over the ranges lo[i] < p <= hi[i].
   the count of the primes up to v with that label at every v = x // m, in
   the layout _grid_values gives; queries must have lo and hi on that grid,
   and hi may be as large as x. The caller builds the counts and decides
-  what a label means. Lucy_Hedgehog's recurrence (_prime_sums) sums a
-  periodic completely multiplicative f over the primes up to every grid
-  value, reading only the primes up to isqrt(x) (_oracle_primes). With
-  f = 1 it gives pi(v) (_prime_count_grid), the counts of the one label
-  None behind almostprime.py's unconstrained counts; density.py builds its
-  sign labels from pi and one more sum. The recurrence makes on the order
-  of x^(3/4) updates, and _oracle_need refuses x when that is over the
-  entry budget, as build_spf_table refuses a table of more entries.
+  what a label means. Lucy_Hedgehog's recurrence (_sieve_rows) runs on one
+  row of sums or on R coupled rows, reading only the primes up to isqrt(x)
+  (_oracle_primes). One row sums a periodic completely multiplicative f
+  over the primes up to every grid value (_prime_sums): with f = 1 it gives
+  pi(v) (_prime_count_grid), the counts of the one label None behind
+  almostprime.py's unconstrained counts; density.py builds its sign labels
+  from pi and one more sum. The phi(Q) rows of _class_sums count the primes
+  in each unit class mod Q, each prime p moving class a * p^-1 into class
+  a; _class_oracle labels them by class, and each prime dividing Q by its
+  own class, for the positional counts behind the cross-check rows. The
+  recurrence makes on the order of x^(3/4) updates per row; the steps of
+  the primes above x^(1/3) commute, and run as one batch. _oracle_need
+  refuses x when that is over the entry budget, as build_spf_table refuses
+  a table of more entries, and _class_oracle_need refuses phi(Q) rows
+  whose updates or counts are over the class budget: 10^9 updates, about
+  3-4 s (3-4 ns an update for 8 to 24 rows at x = 10^10 to 4.6*10^10,
+  up to 8 ns for thousands of rows at a small x, on a shared 2-vCPU VM),
+  and 5*10^6 counts (40 MB of rows; a pass peaks at about twice that).
 
 Indexes, oracles, recorded walks and counts are memoised in the table's
 memo dict, so they are freed with the table, or earlier by _forget.
@@ -31,11 +41,13 @@ entry per n = 2..limit. The cache is written from the table's array,
 with no copy, to a temporary file that then replaces the old one, so a
 failed write never leaves a torn cache. Loading reads only the entries up
 to the limit the caller needs, straight into the table's array, so a warm
-cache costs what the command needs rather than what the file holds. It
-rejects a file whose length does not match its header limit, at any
-limit, and a slice whose content fails cheap sieve checks (sampled
-smallest prime factors, pinned prime counts), so every load checks what
-it reads and a corrupt cache is rebuilt rather than trusted.
+cache costs what the command needs rather than what the file holds;
+spf_cache_limit reads the header alone, so a caller can pass over a cache
+that stops short of its need without reading an entry. Loading rejects a
+file whose length does not match its header limit, at any limit, and a
+slice whose content fails cheap sieve checks (sampled smallest prime
+factors, pinned prime counts), so every load checks what it reads and a
+corrupt cache is rebuilt rather than trusted.
 """
 
 from __future__ import annotations
@@ -48,9 +60,17 @@ from functools import cached_property, wraps
 
 import numpy as np
 
+from .arith import euler_phi, prime_divisors
+
 DEFAULT_MAX_ENTRIES = 10**8
 _MAGIC = b"SPF1"
 _CLASS_MODULUS_LIMIT = 10**5
+# _sieve_tail gathers its terms about this many entries at a time
+_TAIL_TERMS = 1 << 12
+# the class oracle's budget (_class_oracle_need): recurrence updates, and
+# counts held
+_CLASS_UPDATE_BUDGET = 10**9
+_CLASS_COUNT_BUDGET = 5 * 10**6
 # the sieve marks, and SpfTable finds, its primes this many entries at a time
 _PRIME_SCAN_CHUNK = 1 << 16
 # a loaded cache's smallest prime factors are checked at this many points
@@ -152,16 +172,106 @@ def _grid_values(x: int) -> np.ndarray:
     return np.concatenate((np.arange(r + 1), x // np.arange(1, r + 1)))
 
 
+def _sieve_rows(x: int, primes: np.ndarray, rows: np.ndarray, action) -> None:
+    """Lucy_Hedgehog's recurrence, in place, on rows of sums laid out as
+    _grid_values: one row (shape (n,)) or R coupled rows (shape (n, R),
+    grid-major). rows starts as the sums of f(n) over 2 <= n <= v, for f
+    completely multiplicative; for each prime p <= isqrt(x) (the given
+    primes, ascending) it takes out f(p) (S(v // p) - S(p - 1)) at every
+    v >= p^2, S as the smaller primes left it, leaving the sums of f(p) over
+    the primes p <= v.
+
+    action(p) says how f(p) acts: None when f(p) = 0, else (sign, order).
+    One row takes sign * its term (f(p) = sign, +1 or -1); R rows take their
+    terms permuted, row j the term of row order[j] (f(p) a permutation of
+    the rows, sign +1). One row reads 1-D views, with no column gather.
+    The primes with p^3 > x go in one batch (_sieve_tail).
+    """
+    r = math.isqrt(x)
+    # views: small[v] is the sum at v <= r, large[i] the sum at x // i (i >= 1)
+    small, large = rows[: r + 1], rows[r:]
+    acting = [(p, act) for p in primes.tolist() if (act := action(p)) is not None]
+    head = [(p, act) for p, act in acting if p**3 <= x]
+    for p, (sign, order) in head:
+        below = small[p - 1] if order is None else small[p - 1][order]
+        top = min(r, x // (p * p))
+        # S(x // (i p)) is large[i p] while i p <= r, and small[...] beyond
+        split = min(top, r // p)
+        i = np.arange(split + 1, top + 1, dtype=np.int64)
+        # each term is made before its update runs, so it reads S as it was
+        term = _term(large[p : split * p + 1 : p], below, order)
+        _take_out(large[1 : split + 1], term, sign)
+        term = _term(small.take(x // (i * p), axis=0), below, order)
+        _take_out(large[split + 1 : top + 1], term, sign)
+        if p * p <= r:
+            # S(v // p) for v = p^2..r is S(w) for w = p..r // p, each p times
+            term = _term(small[p : r // p + 1], below, order)
+            term = np.repeat(term, p, axis=0)[: r + 1 - p * p]
+            _take_out(small[p * p :], term, sign)
+    if len(head) < len(acting):
+        _sieve_tail(x, rows, acting[len(head) :])
+
+
+def _sieve_tail(x: int, rows: np.ndarray, tail: list) -> None:
+    """The steps of _sieve_rows for the primes p with p^3 > x (ascending,
+    with their actions), all at once. Such a step updates only large[i] for
+    i <= x // p^2 < p. It reads small, which no prime above x^(1/4)
+    updates, and large[i p] with i p >= p, which no such step updates; so
+    the steps commute, and each reads the rows as the primes below x^(1/3)
+    left them. The terms go in chunks of consecutive primes of about
+    _TAIL_TERMS entries, ordered by target i, so one reduceat sums each
+    target's terms.
+    """
+    r = math.isqrt(x)
+    small, large = rows[: r + 1], rows[r:]
+    primes = np.array([p for p, _ in tail], dtype=np.int64)
+    signs = np.array([sign for _, (sign, _) in tail], dtype=np.int64)
+    if rows.ndim == 2:
+        orders = np.array([order for _, (_, order) in tail])
+    tops = x // (primes * primes)
+    per_chunk = max(_TAIL_TERMS // (rows.size // len(rows)), 1)
+    total = np.cumsum(tops)
+    cuts = np.searchsorted(total, np.arange(per_chunk, total[-1], per_chunk), "right")
+    bounds = sorted({0, *cuts.tolist(), len(tail)})
+    for a, b in zip(bounds, bounds[1:]):
+        top = int(tops[a])
+        # terms[i - 1]: the primes of the chunk whose step updates large[i]
+        terms = np.searchsorted(-tops[a:b], -np.arange(1, top + 1), "right")
+        starts = np.concatenate(([0], np.cumsum(terms)[:-1]))
+        i = np.repeat(np.arange(1, top + 1), terms)
+        j = a + np.arange(len(i)) - np.repeat(starts, terms)
+        p = primes[j]
+        ip = i * p
+        # positions in rows: large[i p] is rows[r + i p]
+        at = np.where(ip <= r, r + ip, x // ip)
+        if rows.ndim == 1:
+            term = rows.take(at) - small.take(p - 1)
+            term *= signs[j]
+        else:
+            order = orders[j]
+            term = np.take_along_axis(rows.take(at, axis=0), order, axis=1)
+            term -= np.take_along_axis(small.take(p - 1, axis=0), order, axis=1)
+        large[1 : top + 1] -= np.add.reduceat(term, starts, axis=0)
+
+
+def _term(source, below, order):
+    """source - below as a fresh array, its columns in the given order (one
+    row: as it is)."""
+    if order is not None:
+        source = source.take(order, axis=1)
+    # a gathered source is a fresh array: below comes off in place
+    return np.subtract(source, below, out=source if source.base is None else None)
+
+
+def _take_out(target, term, sign) -> None:
+    """target -= sign * term, in place."""
+    (np.subtract if sign == 1 else np.add)(target, term, out=target)
+
+
 def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Sum of f(p) over the primes p <= v at every v in {x // m}, laid out
     as _grid_values, for f completely multiplicative with period len(f)
-    (f(n) = f[n % len(f)]).
-
-    Lucy_Hedgehog's recurrence: start from the sums of f(n) over 2 <= n <= v
-    and, for each prime p <= isqrt(x) (the given primes, ascending), take out
-    f(p) * (S(v // p) - S(p - 1)) at every v >= p^2.
-    """
-    r = math.isqrt(x)
+    (f(n) = f[n % len(f)]), so every f(p) is 0, +1 or -1."""
     period = len(f)
     f = f.astype(np.int64)
     cumulative = np.concatenate(([0], np.cumsum(f[1:])))
@@ -170,23 +280,53 @@ def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
     # sum of f(n) over 2 <= n <= v
     sums = (grid // period) * per_period + cumulative[grid % period] - f[1 % period]
     sums[:2] = 0
-    # views: small[v] is the sum at v <= r, large[i] the sum at x // i (i >= 1)
-    small, large = sums[: r + 1], sums[r:]
-    for p in primes.tolist():
-        fp = int(f[p % period])
-        if fp == 0:
-            continue
-        below = int(small[p - 1])
-        top = min(r, x // (p * p))
-        # x // (i p) is large[i p] while i p <= r, and small[...] beyond
-        split = min(top, r // p)
-        large[1 : split + 1] -= fp * (large[p : split * p + 1 : p] - below)
-        i = np.arange(split + 1, top + 1, dtype=np.int64)
-        large[split + 1 : top + 1] -= fp * (small[x // (i * p)] - below)
-        if p * p <= r:
-            v = np.arange(p * p, r + 1, dtype=np.int64)
-            small[p * p :] -= fp * (small[v // p] - below)
+    signs = f.tolist()
+
+    def action(p):
+        sign = signs[p % period]
+        return (sign, None) if sign else None
+
+    _sieve_rows(x, primes, sums, action)
     return sums
+
+
+def _class_sums(x: int, primes: np.ndarray, modulus: int) -> tuple[list, np.ndarray]:
+    """(units, sums): the units a mod modulus, ascending, and the count of
+    the primes p <= v with p = a at every v in {x // m}, one column per unit
+    and one row per grid position (_grid_values).
+
+    The recurrence runs on f(n) = e_(n mod modulus) for n prime to modulus,
+    and 0 otherwise: the primes dividing modulus take out no term, and each
+    other prime p moves the counts of class a * p^-1 to class a."""
+    units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+    column = np.full(modulus, -1, dtype=np.int64)
+    column[units] = np.arange(len(units))
+    grid = _grid_values(x)
+    # the n in 1..v with n = a: a, a + modulus, ... (modulus itself for a = 0)
+    first = np.array([a or modulus for a in units], dtype=np.int64)
+    sums = grid[:, None] - first
+    sums //= modulus
+    sums += 1
+    # n = 1 is not a prime
+    sums[:, column[1 % modulus]] -= grid >= 1
+    unit_array = np.array(units, dtype=np.int64)
+    one_row = len(units) == 1
+    orders: dict = {}
+
+    def action(p):
+        if modulus % p == 0:
+            return None
+        if one_row:
+            # the one order is the identity
+            return 1, None
+        key = p % modulus
+        if key not in orders:
+            orders[key] = column[unit_array * pow(key, -1, modulus) % modulus]
+        return 1, orders[key]
+
+    # one row reads 1-D views
+    _sieve_rows(x, primes, sums[:, 0] if one_row else sums, action)
+    return units, sums
 
 
 class _PrimeCountOracle:
@@ -206,8 +346,11 @@ class _PrimeCountOracle:
 
     def count_ranges(self, label, lo: np.ndarray, hi: np.ndarray) -> int:
         """Primes with this label summed over the ranges lo[i] < p <= hi[i],
-        every bound in {x // m}, so at least 1."""
-        cumulative, r, x = self._cumulative[label], self._r, self._x
+        every bound in {x // m}, so at least 1. A label with no counts has
+        no primes, as on the labelled prime index."""
+        cumulative, r, x = self._cumulative.get(label), self._r, self._x
+        if cumulative is None:
+            return 0
         upto_hi, upto_lo = (
             int(cumulative[np.where(v <= r, v, r + x // v)].sum()) for v in (hi, lo)
         )
@@ -251,6 +394,44 @@ def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
     pi = _prime_sums(x, _oracle_primes(table, x), np.ones(1, dtype=np.int64))
     pi.setflags(write=False)
     return pi
+
+
+def _class_oracle_need(x: int, modulus: int) -> int:
+    """The table limit a class oracle for x mod modulus needs: isqrt(x).
+
+    Raises ValueError when the phi(modulus) rows of _class_sums are over
+    the class budget: rows * r * isqrt(r) updates (r = isqrt(x), about
+    rows * x^(3/4)) over _CLASS_UPDATE_BUDGET, or rows * (2 r + 1) counts
+    held over _CLASS_COUNT_BUDGET.
+    """
+    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
+        raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
+    r = math.isqrt(x)
+    rows = euler_phi(modulus)
+    work, held = rows * r * math.isqrt(r), rows * (2 * r + 1)
+    if work > _CLASS_UPDATE_BUDGET or held > _CLASS_COUNT_BUDGET:
+        raise ValueError(
+            f"class counts to x = {x} mod {modulus} need {rows} rows of"
+            f" {2 * r + 1} counts and about {work} updates, which exceeds the"
+            f" budget of {_CLASS_COUNT_BUDGET} counts and"
+            f" {_CLASS_UPDATE_BUDGET} updates"
+        )
+    return r
+
+
+@_table_memo
+def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
+    """Counts of the primes p = a (mod modulus) at every v in {x // m}, one
+    label a per class: the unit classes from _class_sums, and each prime
+    dividing modulus under its own class, which holds no other prime."""
+    _class_oracle_need(x, modulus)
+    units, sums = _class_sums(x, _oracle_primes(table, x), modulus)
+    sums.setflags(write=False)
+    cumulative = {a: sums[:, j] for j, a in enumerate(units)}
+    grid = _grid_values(x)
+    for p in prime_divisors(modulus) if modulus > 1 else ():
+        cumulative[p % modulus] = (grid >= p).astype(np.int64)
+    return _PrimeCountOracle(x, cumulative)
 
 
 def _fixed_points(spf: np.ndarray) -> np.ndarray:
@@ -406,6 +587,38 @@ def _check_content(table: SpfTable) -> None:
             raise ValueError(f"cache gives pi(10^{j}) = {got}, not {expected}")
 
 
+def _read_cache_header(fh, max_entries: int) -> int:
+    """The limit in the header of the SPF1 cache open as fh, which is left
+    at the first entry. Raises ValueError on a bad magic or header limit, a
+    header limit over the entry budget, or a file whose length does not
+    match its header limit."""
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise ValueError(f"bad cache magic {magic!r}")
+    raw = fh.read(8)
+    if len(raw) != 8:
+        raise ValueError("truncated cache header")
+    (file_limit,) = struct.unpack("<Q", raw)
+    if file_limit < 2:
+        raise ValueError(f"bad cache limit {file_limit}")
+    if file_limit + 1 > max_entries:
+        raise ValueError(
+            f"cached table of {file_limit + 1} entries exceeds the budget"
+            f" of {max_entries}"
+        )
+    # the 12-byte header and the whole payload, however much is read
+    if os.fstat(fh.fileno()).st_size != 12 + 4 * (file_limit - 1):
+        raise ValueError("cache payload length does not match limit")
+    return file_limit
+
+
+def spf_cache_limit(path: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> int:
+    """The table limit of the cache at path, from its header alone, checked
+    as load_spf_cache checks it; no entry is read."""
+    with open(path, "rb") as fh:
+        return _read_cache_header(fh, max_entries)
+
+
 def load_spf_cache(
     path: str, max_entries: int = DEFAULT_MAX_ENTRIES, limit: int | None = None
 ) -> SpfTable:
@@ -420,23 +633,7 @@ def load_spf_cache(
     if limit is not None and limit < 2:
         raise ValueError("limit must be >= 2")
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise ValueError("truncated cache header")
-        (file_limit,) = struct.unpack("<Q", raw)
-        if file_limit < 2:
-            raise ValueError(f"bad cache limit {file_limit}")
-        if file_limit + 1 > max_entries:
-            raise ValueError(
-                f"cached table of {file_limit + 1} entries exceeds the budget"
-                f" of {max_entries}"
-            )
-        # the 12-byte header and the whole payload, however much is read
-        if os.fstat(fh.fileno()).st_size != 12 + 4 * (file_limit - 1):
-            raise ValueError("cache payload length does not match limit")
+        file_limit = _read_cache_header(fh, max_entries)
         if limit is None or limit > file_limit:
             limit = file_limit
         spf = np.zeros(limit + 1, dtype="<u4")

@@ -3,7 +3,7 @@ pass/fail line. Tolerances and grids are pinned here and nowhere else.
 
 Runtime-bounded checks time the computation itself (table construction is
 shared session setup and excluded, as the bounds assume a warm table),
-except criterion 11, which times whole CLI runs in fresh processes.
+except criteria 11 and 12, which time whole CLI runs in fresh processes.
 """
 
 import itertools
@@ -247,4 +247,42 @@ def test_criterion_11_sign_densities_to_ten_to_the_ten(tmp_path, k):
         f"k={k} exit {code}, sign rows add up {sums_ok}, references "
         + "/".join(str(references[x]) for x in grid)
         + f", {wall:.1f}s (< 60s), {rss:.0f} MiB (< 200 MiB)",
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_criterion_12_cross_checks_to_ten_to_the_ten(table, tmp_path, k):
+    """The k = 2, 3 sign-density tables of criterion 11 with --cross-check,
+    in a fresh process under 60 s and 200 MiB peak RSS: at every x, the
+    residue-class box rows under each sign row add up to the odd-n sign
+    count, computed here on the sign oracle."""
+    grid = sorted(_SQUAREFREE_SEMIPRIMES)
+    code, stdout, wall, rss = _run_measured(
+        ["table", "--x", ",".join(map(str, grid)), "--k", str(k), "--disc", "5"]
+        + ["--cross-check"],
+        tmp_path / "table.csv",
+    )
+    # each sign row, then its box rows, one per class tuple of B(eps) mod 20
+    boxes: dict = {}
+    for line in stdout.splitlines()[1:]:
+        x, _, _, label, count = line.split(",")[:5]
+        if label.startswith("eps="):
+            key = (int(x), label)
+            boxes[key] = []
+        elif label.startswith("m="):
+            boxes[key].append(int(count))
+    checked, sums_ok = 0, len(boxes) == len(grid) * 2**k
+    for (x, label), counts in sorted(boxes.items()):
+        eps = tuple(1 if s == "+" else -1 for s in label[len("eps="):])
+        constraint = SignConstraint(5, eps)
+        odd = q.count_sign_constrained(table, x, k, constraint, odd_only=True)
+        sums_ok = sums_ok and len(counts) == 4**k and sum(counts) == odd
+        checked += 1
+    ok = code == 0 and sums_ok and wall < 60 and rss < 200
+    _report(
+        12,
+        ok,
+        f"k={k} exit {code}, box rows add up to the odd-n sign count at"
+        f" {checked} sign rows {sums_ok}, {wall:.1f}s (< 60s),"
+        f" {rss:.0f} MiB (< 200 MiB)",
     )

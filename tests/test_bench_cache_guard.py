@@ -1,12 +1,15 @@
 """The benchmark harness's warm-cache guard, on a job that still needs a
-table to x / 2^(k-1): a table with the --cross-check residue-class rows.
+table to x / 2^(k-1): a residue-multiset count, `count --classes`, which
+reads the labelled prime index.
 
 qcbench/test_bench.py::test_warm_job_that_does_not_use_the_setup_cache_fails
-checks the same guard on `table --x 1000 --k 2 --disc 5`. That job now
-needs a table only to isqrt(1000) = 31, since sign and reference counts
-moved to the prime-count oracle, so the 100-entry cache that test writes as
-"too small" covers it and is rightly kept. With --cross-check the job needs
-500 entries, and every step of the guard is exercised again.
+checks the same guard on `table --x 1000 --k 2 --disc 5`. That job needs a
+table only to isqrt(1000) = 31, since sign and reference counts read the
+prime-count oracle, so the 100-entry cache that test writes as "too small"
+covers it and is rightly kept. A --cross-check table needs no more, since
+its residue-class rows read the class oracle. `count --x 1000 --k 2 --mod
+4 --classes 1,3` needs 500 entries, and every step of the guard is
+exercised again.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ run = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = run  # dataclasses resolve annotations through it
 _spec.loader.exec_module(run)
 
-TINY = ["table", "--x", "1000", "--k", "2", "--disc", "5", "--cross-check"]
+TINY = ["count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3"]
 
 
 def _workload(warm: bool):

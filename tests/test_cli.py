@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import weakref
 
 import pytest
 
@@ -261,6 +260,34 @@ def test_prime_counts_over_budget_exit_one(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    # phi(99956) = 49976 rows of 201 counts
+    ("table", "--x", "10000", "--k", "1", "--disc", "24989", "--cross-check"),
+    # phi(4036) = 2016 rows of 6325 counts
+    ("table", "--x", "1000,10000000", "--k", "2", "--disc", "1009", "--cross-check"),
+])
+def test_class_counts_over_budget_exit_one(tmp_path, args):
+    # the cross-check rows' class oracle is refused on its rows times x^(3/4)
+    # updates, or on the counts it would hold, before any table is acquired
+    cache = tmp_path / "spf.bin"
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: class counts to x = ")
+    assert "exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not cache.exists()
+
+
+def test_cross_check_needs_only_a_square_root_table(tmp_path):
+    # the cross-check rows read the class oracle: a table to isqrt(10^7)
+    cache = tmp_path / "spf.bin"
+    args = ("table", "--x", "10000000", "--k", "2", "--disc", "5", "--cross-check")
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 0, proc.stderr
+    assert qcdensity.sieve.spf_cache_limit(str(cache)) == 3162
+
+
 def test_unconstrained_count_needs_only_a_square_root_table():
     # pi(10^9) from the primes up to 31622, far inside the entry budget
     proc = run_cli("count", "--x", "1000000000", "--k", "1")
@@ -325,23 +352,23 @@ def test_warm_cache_prefix_matches_a_cold_run(million_cache, args):
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
-def test_a_short_cache_is_freed_before_the_rebuild(tmp_path, monkeypatch):
+def test_a_short_cache_payload_is_not_read(tmp_path, monkeypatch, capsys):
+    # its header says it stops short of the need: no entry is read, and it
+    # is rebuilt with no warning
     cache = tmp_path / "spf.bin"
     qcdensity.save_spf_cache(qcdensity.build_spf_table(1000), str(cache))
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
-    loaded = []
+    loads = []
 
     def load(*args, **kwargs):
-        table = qcdensity.load_spf_cache(*args, **kwargs)
-        loaded.append(weakref.ref(table))
-        return table
-
-    def build(*args, **kwargs):
-        # the 1000-entry table does not cover 5000, and is no longer held
-        assert [ref() for ref in loaded] == [None]
-        return qcdensity.build_spf_table(*args, **kwargs)
+        loads.append(kwargs.get("limit"))
+        return qcdensity.load_spf_cache(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_spf_cache", load)
-    monkeypatch.setattr(cli, "build_spf_table", build)
     assert cli._get_table(5000).limit == 5000
+    assert loads == []
+    assert capsys.readouterr().err == ""
+    # the rewritten cache covers the need, and its prefix is read
+    assert cli._get_table(3000).limit == 3000
+    assert loads == [3000]
     assert qcdensity.load_spf_cache(str(cache)).limit == 5000

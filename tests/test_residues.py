@@ -6,6 +6,7 @@ import pytest
 
 import qcdensity as q
 from qcdensity import residues
+from qcdensity.verify import RESIDUE_DISCRIMINANTS
 
 DISCRIMINANTS = (2, -2, 3, -3, 5, -5, 6, -7, 10, 13, 15, -20, 21)
 
@@ -97,9 +98,26 @@ def test_square_multiples_share_classes():
             assert sorted(a.classes) == sorted(b.classes)
 
 
+def _unit_scan(d):
+    """The symbol of d's squarefree kernel at every unit mod Q, by one
+    kronecker call per unit, and 0 elsewhere."""
+    period = q.kronecker_period(d)
+    kval = q.squarefree_kernel(d).value()
+    return [
+        q.kronecker(kval, a) if math.gcd(a, period) == 1 else 0
+        for a in range(period)
+    ]
+
+
+@pytest.mark.parametrize("d", sorted({*RESIDUE_DISCRIMINANTS, 100003, -4, 8}))
+def test_unit_symbols_match_a_scan_of_the_units(d):
+    assert residues._unit_symbols(d).tolist() == _unit_scan(d)
+
+
 def test_both_signs_share_one_symbol_scan(monkeypatch):
-    """B(+) and B(-) are read off one scan of the units mod Q per D, whose
-    symbols are shared read-only."""
+    """B(+) and B(-) are read off one scan per D, which evaluates the
+    symbol at the primes below Q that do not divide it; the symbols are
+    shared read-only."""
     calls = []
     kronecker = residues.kronecker
 
@@ -114,7 +132,8 @@ def test_both_signs_share_one_symbol_scan(monkeypatch):
             plus = q.residue_classes_direct(d, 1)
             minus = q.residue_classes_direct(d, -1)
             assert len(plus.classes) + len(minus.classes) == 2 * q.class_count(d)
-        assert len(calls) == 2 * q.class_count(-20) + 2 * q.class_count(45)
+        # Q = 20 for both: the primes 3, 7, 11, 13, 17, 19, once per D
+        assert calls == [3, 7, 11, 13, 17, 19] * 2
         with pytest.raises(ValueError):
             residues._unit_symbols(45)[1] = 0
     finally:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcdensity as q
-from qcdensity import sieve
+from qcdensity import residues, sieve
 
 
 def _smallest_factor(n):
@@ -253,6 +253,62 @@ def test_oracle_range_counts_match_the_class_index(table, x):
     assert oracle.count_ranges(None, empty, empty) == 0
 
 
+@pytest.mark.parametrize("x", [10**6 + 3, 3 * 10**6, 5 * 10**6])
+@pytest.mark.parametrize("d", [1, 5, -4, 13])
+def test_prime_sums_match_direct_sums_over_the_primes(big_table, x, d):
+    # pi (d = 1) and the chi sums of density.py's sign oracle, at every grid
+    # value, against the primes themselves; from 3 * 10^6 on, the batch of
+    # the primes above x^(1/3) runs in more than one chunk
+    f = np.ones(1, dtype=np.int64) if d == 1 else residues._unit_symbols(d)
+    primes = big_table.primes
+    grid = sieve._grid_values(x)
+    values = np.concatenate(([0], np.cumsum(f[primes % len(f)])))
+    expected = values[np.searchsorted(primes, grid, side="right")]
+    got = sieve._prime_sums(x, primes[primes <= math.isqrt(x)], f)
+    assert (got == expected).all()
+
+
+_CLASS_MODULI = (1, 3, 4, 5, 8, 12, 20, 24)
+
+
+def _check_class_oracle(table, x, modulus):
+    """Every class a mod modulus (units, and the non-units that hold a
+    prime dividing modulus or none) counts on the class oracle as on the
+    class index, at every grid value; the classes add up to pi."""
+    oracle = sieve._class_oracle(table, x, modulus)
+    index = table.class_index(modulus)
+    grid = sieve._grid_values(x).tolist()
+    total = np.zeros(len(grid), dtype=np.int64)
+    for a in range(modulus):
+        expected = [index.count_ranges(a, 0, v) for v in grid]
+        counts = oracle._cumulative.get(a)
+        got = [0] * len(grid) if counts is None else counts.tolist()
+        assert got == expected, (x, modulus, a)
+        total += got
+    assert (total == sieve._prime_count_grid(table, x)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.integers(1, 10**6), modulus=st.sampled_from(_CLASS_MODULI))
+def test_class_oracle_matches_the_class_index(big_table, x, modulus):
+    _check_class_oracle(big_table, x, modulus)
+
+
+@pytest.mark.parametrize("modulus", _CLASS_MODULI)
+def test_class_oracle_at_a_million(big_table, modulus):
+    _check_class_oracle(big_table, 10**6, modulus)
+
+
+def test_class_oracle_refuses_a_short_table_and_an_over_budget_modulus():
+    with pytest.raises(ValueError, match="too small"):
+        sieve._class_oracle(q.build_spf_table(99), 10**4, 20)
+    # phi(99991) = 99990 rows of 2001 counts at x = 10^6
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        sieve._class_oracle(q.build_spf_table(1000), 10**6, 99991)
+    with pytest.raises(ValueError, match="class modulus"):
+        sieve._class_oracle(q.build_spf_table(1000), 10**6, 10**5 + 1)
+
+
 @pytest.mark.parametrize("modulus", [1, 255, 256, 257, 65536, 65537, 10**5])
 def test_class_index_labels_every_residue(table, modulus):
     # labels are stored in the narrowest integer type that holds modulus - 1
@@ -318,6 +374,19 @@ def test_cache_length_is_checked_at_any_limit(tmp_path, edit):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError, match="payload length"):
         q.load_spf_cache(str(path), limit=100)
+    with pytest.raises(ValueError, match="payload length"):
+        sieve.spf_cache_limit(str(path))
+
+
+def test_cache_header_gives_the_limit_and_the_load_errors(tmp_path):
+    _, path = _saved(tmp_path, 20000)
+    assert sieve.spf_cache_limit(str(path)) == 20000
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        sieve.spf_cache_limit(str(path), max_entries=20000)
+    with open(path, "r+b") as fh:
+        fh.write(b"XXXX")
+    with pytest.raises(ValueError, match="bad cache magic"):
+        sieve.spf_cache_limit(str(path))
 
 
 def test_cache_refuses_a_limit_below_two(tmp_path):

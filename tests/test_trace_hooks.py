@@ -3,10 +3,12 @@
 qcbench/traced_cli.py wraps named functions of qcdensity from outside the
 package (spans for the public counting functions and the class-index
 builds, a counter for kronecker). A refactor that renames or stops calling
-one of them leaves the traced run silent about that layer. This runs one
-small cross-checked table through it and checks that every layer the
-benchmark's per-layer metrics are built from shows up, with the same stdout
-as an untraced run.
+one of them leaves the traced run silent about that layer. This runs a
+small cross-checked table and a residue-multiset count (the cross-check
+rows count on the class oracle; `count --classes` still builds a class
+index) through it and checks that every layer the benchmark's per-layer
+metrics are built from shows up, each run with the same stdout as an
+untraced run.
 """
 
 import json
@@ -19,7 +21,10 @@ import qcdensity
 
 _PACKAGE_ROOT = Path(qcdensity.__file__).resolve().parent.parent
 _TRACED_CLI = Path(__file__).resolve().parent.parent / "qcbench" / "traced_cli.py"
-_ARGS = ["table", "--x", "1000", "--k", "3", "--disc", "5", "--cross-check"]
+_ARGVS = (
+    ["table", "--x", "1000", "--k", "3", "--disc", "5", "--cross-check"],
+    ["count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3"],
+)
 
 
 def _run(argv):
@@ -34,15 +39,18 @@ def _run(argv):
 
 
 def test_traced_run_reports_every_counting_layer(tmp_path):
-    spans_out = tmp_path / "spans.json"
-    traced = _run([str(_TRACED_CLI), str(spans_out), "--", *_ARGS])
-    untraced = _run(["-m", "qcdensity", *_ARGS])
-    assert traced.returncode == 0, traced.stderr
-    assert untraced.returncode == 0, untraced.stderr
-    assert traced.stdout == untraced.stdout
-    record = json.loads(spans_out.read_text())
-    assert Path(record["module_file"]).resolve().parent.parent == _PACKAGE_ROOT
-    names = {span[0] for span in record["spans"]}
+    names, kronecker_calls = set(), 0
+    for i, args in enumerate(_ARGVS):
+        spans_out = tmp_path / f"spans{i}.json"
+        traced = _run([str(_TRACED_CLI), str(spans_out), "--", *args])
+        untraced = _run(["-m", "qcdensity", *args])
+        assert traced.returncode == 0, traced.stderr
+        assert untraced.returncode == 0, untraced.stderr
+        assert traced.stdout == untraced.stdout
+        record = json.loads(spans_out.read_text())
+        assert Path(record["module_file"]).resolve().parent.parent == _PACKAGE_ROOT
+        names |= {span[0] for span in record["spans"]}
+        kronecker_calls += record["counts"]["arith.kronecker"]
     for name in (
         "density.count_sign",
         "almostprime.count",
@@ -50,4 +58,4 @@ def test_traced_run_reports_every_counting_layer(tmp_path):
         "sieve.class_index",
     ):
         assert name in names, name
-    assert record["counts"]["arith.kronecker"] > 0
+    assert kronecker_calls > 0

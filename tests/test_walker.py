@@ -160,7 +160,7 @@ _ENTRY_POINTS = {
         lambda t, k: _scan_count(t, _X, k, _classes(k), _SQUAREFREE),
     ),
     "positional": (
-        almostprime._coverage_need,
+        _oracle_need,
         lambda t, k: q.count_almost_primes_positional(t, _X, k, _RESIDUES[:k], 4),
         lambda t, k: _scan_positional(t, _X, k, _RESIDUES[:k], 4, _SQUAREFREE),
     ),
