@@ -11,20 +11,22 @@ same tuples shares it.
 
 Integer counts group the rows by one vectorised labelling of their leading
 primes (_group_rows, memoised per labelling) and make one count_ranges
-query: the primes of the last target label, over the ranges of the group
-of the leading targets. Labelled by p mod N (_residue_groups), the rows
-serve positional counts, on the class oracle of sieve.py, and
-residue-multiset counts, on the labelled prime index; with no label,
-unconstrained counts, on a prime-count oracle; by Kronecker sign, the sign
-counts of density.py, on its sign oracle. The one coverage rule,
-_check_coverage, guards every consumer of the labelled prime index before
-it reads the rows: the last position reaches _coverage_need(x, k) =
-x / 2^(k-1), so the index needs every prime up to there. A prime-count
-oracle for x answers every last position up to x; it is a lookup into
-counts built from the table's primes up to isqrt(x)
-(sieve._oracle_primes), which bound every leading prime too. So
-positional, sign and unconstrained counts need the table only up to
-isqrt(x).
+query on a prime-count oracle of sieve.py: the primes of the last target
+label, over the ranges of the group of the leading targets. Labelled by p
+mod N (_residue_groups), the rows serve positional and residue-multiset
+counts, on the class oracle; with no label, unconstrained counts, on the
+every-prime oracle; by Kronecker sign, the sign counts of density.py, on
+its sign oracle. An oracle for x answers every last position up to x; it is
+a lookup into counts built from the table's primes up to isqrt(x)
+(sieve._oracle_primes), which bound every leading prime too. So every
+integer count needs the table only up to isqrt(x), and is refused by the
+oracle before the walk when the table stops short.
+
+The one coverage rule, _check_coverage, guards only the routes that read
+the table's primes at the last position: the ordered float sums, on the
+labelled prime index (sieve._ClassIndex), and the character-sum route. The
+last position reaches _coverage_need(x, k) = x / 2^(k-1), so they need
+every prime up to there, and each checks it before it reads the rows.
 
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats weights each
@@ -41,7 +43,6 @@ import functools
 import itertools
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,19 +197,26 @@ def _residue_groups(table: SpfTable, x: int, k: int, modulus: int, strict: bool)
     return _group_rows(labels, lo, hi)
 
 
+def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
+    i = values.index(v)
+    return values[:i] + values[i + 1 :]
+
+
 def _sorted_count(
     table: SpfTable, x: int, k: int, modulus: int, residues: tuple, strict: bool
 ) -> int:
     """Sorted prime tuples with product <= x whose residues mod modulus match
-    the multiset `residues`; strict means distinct primes. Each leading
-    residue tuple inside `residues` adds the primes of the one class left."""
-    _check_coverage(table, x, k)
-    cidx = table.class_index(modulus)
-    want, total = Counter(residues), 0
+    the multiset `residues`, on the class oracle for (x, modulus); strict
+    means distinct primes. A group whose sorted leading residues are the
+    multiset less one class v adds the primes of class v."""
+    # built first, so a table short of isqrt(x) raises before the walk
+    oracle = _class_oracle(table, x, modulus)
+    reductions = {_remove_one(residues, v): v for v in set(residues)}
+    total = 0
     for leading, bounds in _residue_groups(table, x, k, modulus, strict).items():
-        left = want - Counter(leading)
-        if sum(left.values()) == 1:
-            total += cidx.count_ranges(*left, *bounds)
+        v = reductions.get(tuple(sorted(leading)))
+        if v is not None:
+            total += oracle.count_ranges(v, *bounds)
     return total
 
 
@@ -267,11 +275,6 @@ def count_almost_primes_positional(
     # built first, so a table short of isqrt(x) raises before the walk
     oracle = _class_oracle(table, x, modulus)
     return _count_group(_residue_groups(table, x, k, modulus, strict), res, oracle)
-
-
-def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
-    i = values.index(v)
-    return values[:i] + values[i + 1 :]
 
 
 @_table_memo

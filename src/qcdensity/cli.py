@@ -28,12 +28,8 @@ import sys
 import time
 from dataclasses import asdict
 
-from .almostprime import (
-    CountMode,
-    ResidueConstraint,
-    _coverage_need,
-    count_almost_primes,
-)
+from .almostprime import CountMode, ResidueConstraint, count_almost_primes
+from .arith import euler_phi
 from .density import (
     SignConstraint,
     count_sign_constrained,
@@ -64,6 +60,11 @@ _MODES = {
 _SIGNS = {"+": 1, "-": -1}
 
 CACHE_ENV_VAR = "QCD_SPF_CACHE"
+
+# table --cross-check holds every row in memory before it writes any: about
+# 580 bytes a row (with CPython 3.11, 800000 rows peaked 330 MiB above
+# 200000), so this many rows is about 290 MB
+_CROSS_CHECK_ROW_BUDGET = 5 * 10**5
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,18 +110,12 @@ def _get_table(min_limit: int):
     return table
 
 
-def _table_need(
-    x: int, k: int, classes: bool = False, modulus: int | None = None
-) -> int:
-    """The table limit a count at x needs: the labelled prime index of the
-    residue-class counts reads its primes up to x / 2^(k-1); every oracle
-    reads its primes up to isqrt(x): the prime-count oracle of the sign and
-    unconstrained counts, and, given a modulus, the class oracle of the
-    cross-check rows, which also checks its class budget. An oracle over its
-    budget is a runtime limit (exit 1), as an oversized table is in
-    _get_table."""
-    if classes:
-        return _coverage_need(x, k)
+def _table_need(x: int, modulus: int | None = None) -> int:
+    """The table limit a count at x needs: isqrt(x), the primes every oracle
+    reads (the prime-count oracle of the sign and unconstrained counts, and,
+    given a modulus, the class oracle of the residue-class counts, whose
+    class budget is checked too). An oracle over its budget is a runtime
+    limit (exit 1), as an oversized table is in _get_table."""
     try:
         need = _oracle_need(x)
         if modulus is not None:
@@ -149,8 +144,8 @@ def _parse_eps(raw: str) -> tuple[int, ...]:
 
 
 def _check_modulus(modulus: int, name: str) -> None:
-    # the class index and the class oracle refuse a larger modulus only
-    # once they have a table
+    # prime_count_in_class and the class oracle refuse a larger modulus
+    # only once they have a table
     if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
         raise ValueError(f"{name} must be in 1..{_CLASS_MODULUS_LIMIT}")
 
@@ -210,7 +205,7 @@ def _cmd_count(args) -> int:
         raise ValueError("--mod requires --classes")
     if constraint is not None and constraint.k != args.k:
         raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
-    need = _table_need(args.x, args.k, args.classes is not None)
+    need = _table_need(args.x, args.mod if args.classes is not None else None)
     table = _get_table(max(need, args.limit or 2))
     mode = _MODES[args.mode]
     if args.eps is not None:
@@ -232,7 +227,14 @@ def _cmd_table(args) -> int:
     if args.cross_check:
         # the residue-class rows count the primes mod the period Q of D
         _check_modulus(period, f"under --cross-check, the period Q = {period}")
-    need = _table_need(max(grid), args.k, modulus=period if args.cross_check else None)
+    need = _table_need(max(grid), period if args.cross_check else None)
+    boxes = len(grid) * euler_phi(period) ** args.k if args.cross_check else 0
+    if boxes > _CROSS_CHECK_ROW_BUDGET:
+        sys.exit(
+            f"error: --cross-check at {len(grid)} x values mod {period} needs"
+            f" {boxes} residue-class rows, which exceeds the budget of"
+            f" {_CROSS_CHECK_ROW_BUDGET}"
+        )
     table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()
     rows = []

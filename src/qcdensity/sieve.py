@@ -2,35 +2,38 @@
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
-Range queries have two backends with one interface, count_ranges(label,
-lo, hi): the primes with that label over the ranges lo[i] < p <= hi[i].
+Range counts have one backend, count_ranges(label, lo, hi): the primes with
+that label over the ranges lo[i] < p <= hi[i], on a _PrimeCountOracle for
+one x. It is a plain lookup. It holds, for each label, the count of the
+primes up to v with that label at every v = x // m, in the layout
+_grid_values gives; queries must have lo and hi on that grid, and hi may be
+as large as x. The caller builds the counts and decides what a label means.
+Lucy_Hedgehog's recurrence (_sieve_rows) runs on one row of sums or on R
+coupled rows, reading only the primes up to isqrt(x) (_oracle_primes). One
+row sums a periodic completely multiplicative f over the primes up to every
+grid value (_prime_sums): with f = 1 it gives pi(v) (_prime_count_grid),
+the counts of the one label None behind almostprime.py's unconstrained
+counts; density.py builds its sign labels from pi and one more sum. The
+phi(Q) rows of _class_sums count the primes in each unit class mod Q, each
+prime p moving class a * p^-1 into class a; _class_oracle labels them by
+class, and each prime dividing Q by its own class, for the residue-class
+counts: positional (the cross-check rows) and multiset (`count --classes`).
+The recurrence makes on the order of x^(3/4) updates per row; the steps of
+the primes above x^(1/3) commute, and run as one batch. _oracle_need
+refuses x when that is over the entry budget, as build_spf_table refuses a
+table of more entries, and _class_oracle_need refuses phi(Q) rows whose
+updates or counts are over the class budget: 10^9 updates, about 3-4 s
+(3-4 ns an update for 8 to 24 rows at x = 10^10 to 4.6*10^10, up to 8 ns
+for thousands of rows at a small x, on a shared 2-vCPU VM), and 5*10^6
+counts (40 MB of rows; a pass peaks at about twice that).
 
-- _ClassIndex, the labelled prime index: the table's primes grouped by one
-  integer label each (class_index(N) labels by p mod N), also summing log p
-  and 1/p. It reads the primes themselves, so it answers any hi up to the
-  table's limit.
-- _PrimeCountOracle, for one x: a plain lookup. It holds, for each label,
-  the count of the primes up to v with that label at every v = x // m, in
-  the layout _grid_values gives; queries must have lo and hi on that grid,
-  and hi may be as large as x. The caller builds the counts and decides
-  what a label means. Lucy_Hedgehog's recurrence (_sieve_rows) runs on one
-  row of sums or on R coupled rows, reading only the primes up to isqrt(x)
-  (_oracle_primes). One row sums a periodic completely multiplicative f
-  over the primes up to every grid value (_prime_sums): with f = 1 it gives
-  pi(v) (_prime_count_grid), the counts of the one label None behind
-  almostprime.py's unconstrained counts; density.py builds its sign labels
-  from pi and one more sum. The phi(Q) rows of _class_sums count the primes
-  in each unit class mod Q, each prime p moving class a * p^-1 into class
-  a; _class_oracle labels them by class, and each prime dividing Q by its
-  own class, for the positional counts behind the cross-check rows. The
-  recurrence makes on the order of x^(3/4) updates per row; the steps of
-  the primes above x^(1/3) commute, and run as one batch. _oracle_need
-  refuses x when that is over the entry budget, as build_spf_table refuses
-  a table of more entries, and _class_oracle_need refuses phi(Q) rows
-  whose updates or counts are over the class budget: 10^9 updates, about
-  3-4 s (3-4 ns an update for 8 to 24 rows at x = 10^10 to 4.6*10^10,
-  up to 8 ns for thousands of rows at a small x, on a shared 2-vCPU VM),
-  and 5*10^6 counts (40 MB of rows; a pass peaks at about twice that).
+Two readers of the table's primes stay outside that backend. _ClassIndex
+groups them by one integer label (class_index(N) labels by p mod N) and
+sums log p and 1/p over a range, for the ordered float sums of
+almostprime.py; it answers any hi up to the table's limit. prime_count and
+prime_count_in_class (`primes`, `primes --mod`) count the table's primes up
+to a limit, the latter from one bincount of their residues, so a modulus up
+to 10^5 costs a pass over the primes rather than phi(N) oracle rows.
 
 Indexes, oracles, recorded walks and counts are memoised in the table's
 memo dict, so they are freed with the table, or earlier by _forget.
@@ -114,7 +117,8 @@ def _forget(table: SpfTable, x: int) -> None:
 
 class _ClassIndex:
     """The primes grouped by an integer label, ascending within each group,
-    with log/recip arrays built on first use (only the tuple sums read them).
+    for the float sums of almostprime._ordered_stats: count, sum of log p
+    and sum of 1/p over a range of one label.
 
     Range sums are computed by summing the group slice directly; prefix-sum
     differences would carry absolute error on the order of the full prefix
@@ -139,15 +143,6 @@ class _ClassIndex:
     @cached_property
     def _recips(self) -> np.ndarray:
         return 1.0 / self._primes.astype(np.float64)
-
-    def count_ranges(self, label: int, lo: np.ndarray, hi: np.ndarray) -> int:
-        """Primes with this label summed over the ranges lo[i] < p <= hi[i];
-        scalar lo and hi are one range."""
-        i0, i1 = self._groups.get(label, (0, 0))
-        seg = self._primes[i0:i1]
-        upto_hi = np.searchsorted(seg, hi, side="right")
-        upto_lo = np.searchsorted(seg, lo, side="right")
-        return int(upto_hi.sum() - upto_lo.sum())
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
@@ -347,7 +342,7 @@ class _PrimeCountOracle:
     def count_ranges(self, label, lo: np.ndarray, hi: np.ndarray) -> int:
         """Primes with this label summed over the ranges lo[i] < p <= hi[i],
         every bound in {x // m}, so at least 1. A label with no counts has
-        no primes, as on the labelled prime index."""
+        no primes."""
         cumulative, r, x = self._cumulative.get(label), self._r, self._x
         if cumulative is None:
             return 0
@@ -514,17 +509,22 @@ def prime_count(table: SpfTable, x: int) -> int:
     return int(np.searchsorted(table.primes, x, side="right"))
 
 
+@_table_memo
+def _class_counts(table: SpfTable, x: int, modulus: int) -> np.ndarray:
+    """The number of primes p <= x in each class mod modulus, one bincount
+    of their residues."""
+    residues = table.primes[: prime_count(table, x)] % modulus
+    return np.bincount(residues, minlength=modulus)
+
+
 def prime_count_in_class(table: SpfTable, x: int, a: int, modulus: int) -> int:
-    """Number of primes p <= x with p = a (mod modulus)."""
-    if x > table.limit:
-        raise ValueError(f"x = {x} exceeds table limit {table.limit}")
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    """Number of primes p <= x with p = a (mod modulus). Requires x <=
+    table.limit."""
+    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
+        raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
     if not 0 <= a < modulus:
         raise ValueError("class must satisfy 0 <= a < modulus")
-    if x < 2:
-        return 0
-    return table.class_index(modulus).count_ranges(a, 0, x)
+    return int(_class_counts(table, x, modulus)[a])
 
 
 def factorize(table: SpfTable, n: int) -> FactoredInteger:

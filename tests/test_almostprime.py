@@ -354,3 +354,18 @@ def test_multiset_counts_partition_odd_semiprimes(table):
     everything = q.count_almost_primes(table, x, k, ResidueConstraint(1, (1, 1)))
     evens = q.prime_count(table, x // 2) - 1
     assert total == everything - evens
+
+
+def test_mod_four_multisets_add_up_at_ten_to_the_ten():
+    """At x = 10^10, on a table to isqrt(x) only: the squarefree semiprimes
+    are the 2 q with q an odd prime up to x / 2, and the products of two
+    odd primes, each 1 or 3 mod 4."""
+    x = 10**10
+    table = q.build_spf_table(math.isqrt(x))
+    multisets = [
+        q.count_almost_primes(table, x, 2, ResidueConstraint(4, residues))
+        for residues in ((1, 1), (1, 3), (3, 3))
+    ]
+    assert multisets[1] == 629404051
+    evens = q.count_almost_primes(table, x // 2, 1) - 1
+    assert sum(multisets) + evens == q.count_almost_primes(table, x, 2)

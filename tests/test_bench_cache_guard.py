@@ -1,15 +1,15 @@
-"""The benchmark harness's warm-cache guard, on a job that still needs a
-table to x / 2^(k-1): a residue-multiset count, `count --classes`, which
-reads the labelled prime index.
+"""The benchmark harness's warm-cache guard, on a job whose need is set by
+--limit: a residue-multiset count, `count --x 1000 --k 2 --mod 4 --classes
+1,3 --limit 500`.
 
 qcbench/test_bench.py::test_warm_job_that_does_not_use_the_setup_cache_fails
 checks the same guard on `table --x 1000 --k 2 --disc 5`. That job needs a
 table only to isqrt(1000) = 31, since sign and reference counts read the
 prime-count oracle, so the 100-entry cache that test writes as "too small"
-covers it and is rightly kept. A --cross-check table needs no more, since
-its residue-class rows read the class oracle. `count --x 1000 --k 2 --mod
-4 --classes 1,3` needs 500 entries, and every step of the guard is
-exercised again.
+covers it and is rightly kept. The residue-class counts read the class
+oracle, which needs no more; so the job here asks for a 500-entry table
+with --limit, the 100-entry cache stops short of it, and every step of the
+guard is exercised again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ run = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = run  # dataclasses resolve annotations through it
 _spec.loader.exec_module(run)
 
-TINY = ["count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3"]
+TINY = [
+    "count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3",
+    "--limit", "500",
+]
 
 
 def _workload(warm: bool):

@@ -230,12 +230,14 @@ def test_usage_error_acquires_no_table(args, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ("count", "--x", "1000000000", "--k", "1", "--mod", "4", "--classes", "1"),
+    # about x^(3/4) = 10^9 updates for the class oracle's prime counts
+    ("count", "--x", "1000000000000", "--k", "1", "--mod", "4", "--classes", "1"),
     ("primes", "--limit", "200000000"),
     ("verify", "--x", "200000000"),
 ])
 def test_table_over_budget_exits_one(args):
-    # the sieve refuses before it allocates: a runtime limit, not a usage error
+    # the sieve or the oracle refuses before it allocates: a runtime limit,
+    # not a usage error
     proc = run_cli(*args)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -265,10 +267,13 @@ def test_prime_counts_over_budget_exit_one(args):
     ("table", "--x", "10000", "--k", "1", "--disc", "24989", "--cross-check"),
     # phi(4036) = 2016 rows of 6325 counts
     ("table", "--x", "1000,10000000", "--k", "2", "--disc", "1009", "--cross-check"),
+    # phi(99991) = 99990 rows of 201 counts
+    ("count", "--x", "10000", "--k", "1", "--mod", "99991", "--classes", "1"),
 ])
 def test_class_counts_over_budget_exit_one(tmp_path, args):
-    # the cross-check rows' class oracle is refused on its rows times x^(3/4)
-    # updates, or on the counts it would hold, before any table is acquired
+    # the class oracle of the cross-check rows and of `count --classes` is
+    # refused on its rows times x^(3/4) updates, or on the counts it would
+    # hold, before any table is acquired
     cache = tmp_path / "spf.bin"
     proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
     assert proc.returncode == 1
@@ -277,6 +282,38 @@ def test_class_counts_over_budget_exit_one(tmp_path, args):
     assert "exceeds the budget" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not cache.exists()
+
+
+def test_cross_check_rows_over_budget_exit_one(tmp_path):
+    # 2 x values times phi(404)^3 = 8*10^6 residue-class rows, all held in
+    # memory before any is written: refused before any table is acquired
+    cache = tmp_path / "spf.bin"
+    args = ("table", "--x", "100000,1000000", "--k", "3", "--disc", "101",
+            "--cross-check")
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --cross-check at 2 x values mod 404")
+    assert "exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not cache.exists()
+
+
+def test_class_counts_need_only_a_square_root_table(tmp_path):
+    # the residue-multiset count reads the class oracle: a table to isqrt(10^8)
+    cache = tmp_path / "spf.bin"
+    args = ("count", "--x", "100000000", "--k", "2", "--mod", "4", "--classes", "1,3")
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7212574\n"
+    assert qcdensity.sieve.spf_cache_limit(str(cache)) == 10**4
+
+
+def test_class_count_past_the_table_budget():
+    # pi(10^9; 4, 1), where a table to x would be over the entry budget
+    proc = run_cli("count", "--x", "1000000000", "--k", "1", "--mod", "4", "--classes", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "25423491\n"
 
 
 def test_cross_check_needs_only_a_square_root_table(tmp_path):

@@ -199,16 +199,37 @@ def test_cache_honors_entry_budget(tmp_path):
 
 def test_class_index_range_queries(table):
     idx = table.class_index(4)
-    assert idx.count_ranges(1, 0, 100) == 11
-    assert idx.count_ranges(3, 0, 100) == 13
+    assert idx.stats(1, 0, 100)[0] == 11
+    assert idx.stats(3, 0, 100)[0] == 13
     # half-open on the left: (lo, hi]
-    assert idx.count_ranges(1, 5, 5) == 0
-    assert idx.count_ranges(1, 4, 5) == 1
+    assert idx.stats(1, 5, 5)[0] == 0
+    assert idx.stats(1, 4, 5)[0] == 1
     primes = table.primes_list
     for a in (1, 3):
         expected = sum(1 for p in primes if p <= 10**4 and p % 4 == a)
-        assert idx.count_ranges(a, 0, 10**4) == expected
+        assert idx.stats(a, 0, 10**4)[0] == expected
         assert q.prime_count_in_class(table, 10**4, a, 4) == expected
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 97, 65537, 10**5])
+def test_prime_count_in_class_matches_the_primes(table, modulus):
+    # one bincount of the residues, at every size of modulus the CLI takes
+    residues = table.primes % modulus
+    for x in (1, 2, 1000, 65537, 10**5):
+        upto = residues[table.primes <= x]
+        for a in sorted({a % modulus for a in (0, 1, 2, -1, int(residues[-1]))}):
+            expected = int(np.count_nonzero(upto == a))
+            assert q.prime_count_in_class(table, x, a, modulus) == expected, (x, a)
+
+
+def test_prime_count_in_class_refuses_bad_arguments(small_table):
+    with pytest.raises(ValueError, match="exceeds table limit"):
+        q.prime_count_in_class(small_table, 10**4 + 1, 1, 4)
+    for modulus in (0, 10**5 + 1):
+        with pytest.raises(ValueError, match="class modulus"):
+            q.prime_count_in_class(small_table, 100, 0, modulus)
+    with pytest.raises(ValueError, match="class must satisfy"):
+        q.prime_count_in_class(small_table, 100, 4, 4)
 
 
 def test_class_index_stats_match_direct_sums(table):
@@ -226,6 +247,12 @@ def _quotient_bounds(x):
     return np.array(sorted({x // m for m in range(1, x + 1)}), dtype=np.int64)
 
 
+def _count_between(primes, lo, hi):
+    """The primes p with lo[i] < p <= hi[i], summed over i."""
+    upto_hi = np.searchsorted(primes, hi, side="right")
+    return int((upto_hi - np.searchsorted(primes, lo, side="right")).sum())
+
+
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000, 4099, 65536, 10**5])
 def test_oracle_range_counts_match_the_class_index(table, x):
     oracle = sieve._PrimeCountOracle(x, {None: sieve._prime_count_grid(table, x)})
@@ -239,16 +266,14 @@ def test_oracle_range_counts_match_the_class_index(table, x):
     pairs = [(lo, hi) for lo in special for hi in special if lo <= hi]
     for lo, hi in pairs:
         lo_a, hi_a = np.array([lo]), np.array([hi])
-        assert oracle.count_ranges(None, lo_a, hi_a) == every.count_ranges(
-            0, lo_a, hi_a
-        ), (lo, hi)
-    # every pair of bounds in one query
+        expected = every.stats(0, lo, hi)[0]
+        assert oracle.count_ranges(None, lo_a, hi_a) == expected, (lo, hi)
+    # every pair of bounds in one query, against the table's primes
     lo_all, hi_all = np.meshgrid(bounds, bounds)
     keep = lo_all <= hi_all
     lo_all, hi_all = lo_all[keep], hi_all[keep]
-    assert oracle.count_ranges(None, lo_all, hi_all) == every.count_ranges(
-        0, lo_all, hi_all
-    )
+    expected = _count_between(table.primes, lo_all, hi_all)
+    assert oracle.count_ranges(None, lo_all, hi_all) == expected
     empty = np.array([], dtype=np.int64)
     assert oracle.count_ranges(None, empty, empty) == 0
 
@@ -273,14 +298,16 @@ _CLASS_MODULI = (1, 3, 4, 5, 8, 12, 20, 24)
 
 def _check_class_oracle(table, x, modulus):
     """Every class a mod modulus (units, and the non-units that hold a
-    prime dividing modulus or none) counts on the class oracle as on the
-    class index, at every grid value; the classes add up to pi."""
+    prime dividing modulus or none) counts on the class oracle as the
+    table's primes of that class number, at every grid value; the classes
+    add up to pi."""
     oracle = sieve._class_oracle(table, x, modulus)
-    index = table.class_index(modulus)
-    grid = sieve._grid_values(x).tolist()
+    residues = table.primes % modulus
+    grid = sieve._grid_values(x)
     total = np.zeros(len(grid), dtype=np.int64)
     for a in range(modulus):
-        expected = [index.count_ranges(a, 0, v) for v in grid]
+        in_class = table.primes[residues == a]
+        expected = np.searchsorted(in_class, grid, side="right").tolist()
         counts = oracle._cumulative.get(a)
         got = [0] * len(grid) if counts is None else counts.tolist()
         assert got == expected, (x, modulus, a)
@@ -290,7 +317,7 @@ def _check_class_oracle(table, x, modulus):
 
 @settings(max_examples=40, deadline=None)
 @given(x=st.integers(1, 10**6), modulus=st.sampled_from(_CLASS_MODULI))
-def test_class_oracle_matches_the_class_index(big_table, x, modulus):
+def test_class_oracle_matches_the_primes_by_class(big_table, x, modulus):
     _check_class_oracle(big_table, x, modulus)
 
 
@@ -316,7 +343,7 @@ def test_class_index_labels_every_residue(table, modulus):
     residues = table.primes % modulus
     for a in sorted({a % modulus for a in (1, 2, modulus - 1, int(residues[-1]))}):
         expected = int(np.count_nonzero(residues == a))
-        assert idx.count_ranges(a, 0, table.limit) == expected, a
+        assert idx.stats(a, 0, table.limit)[0] == expected, a
 
 
 def _saved(tmp_path, limit):

@@ -4,11 +4,11 @@ qcbench/traced_cli.py wraps named functions of qcdensity from outside the
 package (spans for the public counting functions and the class-index
 builds, a counter for kronecker). A refactor that renames or stops calling
 one of them leaves the traced run silent about that layer. This runs a
-small cross-checked table and a residue-multiset count (the cross-check
-rows count on the class oracle; `count --classes` still builds a class
-index) through it and checks that every layer the benchmark's per-layer
-metrics are built from shows up, each run with the same stdout as an
-untraced run.
+small cross-checked table and the sandwich suite (every integer count
+reads an oracle; the suite's ordered float sums build a class index)
+through it and checks that every layer the benchmark's per-layer metrics
+are built from shows up, each run with the same stdout as an untraced
+run.
 """
 
 import json
@@ -23,7 +23,7 @@ _PACKAGE_ROOT = Path(qcdensity.__file__).resolve().parent.parent
 _TRACED_CLI = Path(__file__).resolve().parent.parent / "qcbench" / "traced_cli.py"
 _ARGVS = (
     ["table", "--x", "1000", "--k", "3", "--disc", "5", "--cross-check"],
-    ["count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3"],
+    ["verify", "--suite", "sandwich", "--x", "100"],
 )
 
 

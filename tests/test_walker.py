@@ -155,7 +155,7 @@ _ENTRY_POINTS = {
         lambda t, k: _scan_count(t, _X, k, ResidueConstraint(1, (0,) * k), _SQUAREFREE),
     ),
     "classes": (
-        almostprime._coverage_need,
+        _oracle_need,
         lambda t, k: q.count_almost_primes(t, _X, k, _classes(k)),
         lambda t, k: _scan_count(t, _X, k, _classes(k), _SQUAREFREE),
     ),
