@@ -9,15 +9,19 @@ order: its k - 1 leading primes and the range (lo, hi] of the last prime.
 The walk is memoised in the table's memo dict, so every labelling of the
 same tuples shares it.
 
-Integer counts group the rows by one vectorised labelling of their leading
-primes (_group_rows, memoised per labelling) and make one count_ranges
-query on a prime-count oracle of sieve.py: the primes of the last target
-label, over the ranges of the group of the leading targets. Labelled by p
-mod N (_residue_groups), the rows serve positional and residue-multiset
-counts, on the class oracle; with no label, unconstrained counts, on the
-every-prime oracle; by Kronecker sign, the sign counts of density.py, on
-its sign oracle. An oracle for x answers every last position up to x; it is
-a lookup into counts built from the table's primes up to isqrt(x)
+Every integer count is a lookup into one count table per labelling
+(_tuple_counts): the rows, sorted by the labels of their leading primes,
+make one count_ranges query on a prime-count oracle of sieve.py per run of
+equal leading labels, which counts the last prime under every label at
+once. The table maps the leading labels to those counts, and a count reads
+one entry (_lookup) or, for a residue multiset, sums the entries whose
+sorted leading labels and last label make up the multiset. Labelled by p
+mod N (_residue_counts, memoised), the table serves positional and
+residue-multiset counts, on the class oracle; by Kronecker sign, the sign
+counts of density.py (_sign_counts), on its sign oracle. Unconstrained
+counts are one query over all the rows on the every-prime oracle. An
+oracle for x answers every last position up to x; it is a lookup into
+counts built from the table's primes up to isqrt(x)
 (sieve._oracle_primes), which bound every leading prime too. So every
 integer count needs the table only up to isqrt(x), and is refused by the
 oracle before the walk when the table stops short.
@@ -157,44 +161,61 @@ def _tuple_rows(
     return np.frombuffer(leading, dtype=np.int32).reshape(len(lo), k - 1), lo, hi
 
 
-def _group_rows(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> dict:
-    """The ranges (lo, hi) of the rows keyed by the labels of their leading
-    primes, labels holding one array per leading position: one stable sort
-    of the rows by their labels, cut where the labels change."""
-    order = np.lexsort(labels[::-1]) if len(labels) else np.arange(len(lo))
-    keys = labels[:, order]
-    cuts = (np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1).tolist()
+def _tuple_counts(
+    table: SpfTable,
+    x: int,
+    k: int,
+    strict: bool,
+    labels: np.ndarray,
+    oracle: _PrimeCountOracle,
+) -> dict:
+    """The rows of _tuple_rows counted under one labelling: labels[p] is
+    the label of a leading prime p. One stable sort of the rows by the
+    labels of their leading primes, then one count_ranges query on the
+    oracle per run of equal leading labels; returns {leading labels:
+    counts of the last prime by label, in the oracle's column order}."""
+    leading, lo, hi = _tuple_rows(table, x, k, strict)
+    keys = labels[leading]
+    order = np.lexsort(keys.T[::-1]) if k > 1 else np.arange(len(lo))
+    keys = keys[order]
+    cuts = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
     bounds = [0, *cuts, len(lo)]
     return {
-        tuple(keys[:, i].tolist()): (lo[order[i:j]], hi[order[i:j]])
+        tuple(keys[i].tolist()): oracle.count_ranges(lo[order[i:j]], hi[order[i:j]])
         for i, j in zip(bounds, bounds[1:])
         if i < j
     }
 
 
-def _count_group(groups: dict, targets: tuple, backend) -> int:
-    """The primes labelled targets[-1] on the backend, summed over the ranges
-    of the rows whose leading primes are labelled targets[:-1]."""
-    bounds = groups.get(targets[:-1])
-    return 0 if bounds is None else backend.count_ranges(targets[-1], *bounds)
+def _lookup(counts: dict, oracle: _PrimeCountOracle, targets: tuple) -> int:
+    """The entry of counts (from _tuple_counts on oracle) for the leading
+    labels targets[:-1] and the last label targets[-1]; 0 when either has
+    no entry."""
+    row, column = counts.get(targets[:-1]), oracle.columns.get(targets[-1])
+    return 0 if row is None or column is None else int(row[column])
 
 
 @_table_memo
 def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
-    """Sorted prime tuples with product <= x, on the prime-count oracle (label
-    None), built before the walk so that a short table raises first."""
-    oracle = _PrimeCountOracle(x, {None: _prime_count_grid(table, x)})
+    """Sorted prime tuples with product <= x, on the prime-count oracle (one
+    label, None), built before the walk so that a short table raises
+    first."""
+    oracle = _PrimeCountOracle(x, [((None,), _prime_count_grid(table, x))])
     _, lo, hi = _tuple_rows(table, x, k, strict)
-    return oracle.count_ranges(None, lo, hi)
+    return int(oracle.count_ranges(lo, hi)[0])
 
 
 @_table_memo
-def _residue_groups(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
-    """The rows of _tuple_rows grouped by the residues mod modulus of their
-    leading primes."""
-    leading, lo, hi = _tuple_rows(table, x, k, strict)
-    labels = (leading.T % modulus).astype(np.min_scalar_type(modulus - 1))
-    return _group_rows(labels, lo, hi)
+def _residue_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """_tuple_counts labelled by p mod modulus, on the class oracle for (x,
+    modulus), built first so that a table short of isqrt(x) raises before
+    the walk."""
+    oracle = _class_oracle(table, x, modulus)
+    # every leading prime is at most isqrt(x); the narrowest label type,
+    # since numpy radix-sorts 8- and 16-bit keys
+    labels = np.arange(math.isqrt(x) + 1) % modulus
+    labels = labels.astype(np.min_scalar_type(modulus - 1))
+    return _tuple_counts(table, x, k, strict, labels, oracle)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -208,16 +229,15 @@ def _sorted_count(
     """Sorted prime tuples with product <= x whose residues mod modulus match
     the multiset `residues`, on the class oracle for (x, modulus); strict
     means distinct primes. A group whose sorted leading residues are the
-    multiset less one class v adds the primes of class v."""
-    # built first, so a table short of isqrt(x) raises before the walk
-    oracle = _class_oracle(table, x, modulus)
-    reductions = {_remove_one(residues, v): v for v in set(residues)}
-    total = 0
-    for leading, bounds in _residue_groups(table, x, k, modulus, strict).items():
-        v = reductions.get(tuple(sorted(leading)))
-        if v is not None:
-            total += oracle.count_ranges(v, *bounds)
-    return total
+    multiset less one class v adds its count of class v."""
+    counts = _residue_counts(table, x, k, modulus, strict)
+    columns = _class_oracle(table, x, modulus).columns
+    reductions = {_remove_one(residues, v): columns[v] for v in set(residues)}
+    return sum(
+        int(row[reductions[rest]])
+        for leading, row in counts.items()
+        if (rest := tuple(sorted(leading))) in reductions
+    )
 
 
 def count_almost_primes(
@@ -254,15 +274,15 @@ def count_almost_primes_positional(
     """Positional variant: the i-th smallest prime of n must lie in class
     residues[i] mod modulus (sorted with multiplicity in that mode).
 
-    The count is one query over the rows of the walk per (x, k, mode),
-    labelled by residue, on the class oracle for (x, modulus), so it needs
-    the table only up to isqrt(x), and modulus faces the class budget of
-    sieve._class_oracle_need. A lone call walks every leading tuple, about
-    phi(modulus)^(k-1) times the tuples that match; its one caller outside
-    the tests, the cross-check rows of density.py, asks for every residue
-    tuple of the same walk. Residue-multiset counts (count_almost_primes
-    with a constraint) read the same rows, so a lone `count --classes`
-    walks every leading tuple too.
+    The count is one entry of the count table of the walk per (x, k,
+    mode), labelled by residue, on the class oracle for (x, modulus), so it
+    needs the table only up to isqrt(x), and modulus faces the class
+    budget of sieve._class_oracle_need. A lone call walks, and counts,
+    every leading tuple, about phi(modulus)^(k-1) times the tuples that
+    match; the cross-check rows of density.py read every entry of the same
+    table. Residue-multiset counts (count_almost_primes with a constraint)
+    read the same table, so a lone `count --classes` counts every leading
+    tuple too.
     """
     if k < 1 or len(residues) != k:
         raise ValueError("need one residue per position")
@@ -272,9 +292,8 @@ def count_almost_primes_positional(
         raise ValueError("modulus must be >= 1")
     strict = mode is CountMode.SQUAREFREE
     res = tuple(r % modulus for r in residues)
-    # built first, so a table short of isqrt(x) raises before the walk
-    oracle = _class_oracle(table, x, modulus)
-    return _count_group(_residue_groups(table, x, k, modulus, strict), res, oracle)
+    counts = _residue_counts(table, x, k, modulus, strict)
+    return _lookup(counts, _class_oracle(table, x, modulus), res)
 
 
 @_table_memo

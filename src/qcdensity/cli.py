@@ -40,7 +40,7 @@ from .density import (
 from .quadratic import QuadraticForm, count_roots_bruteforce
 from .residues import _enumerable_period, residue_classes_direct
 from .sieve import (
-    _CLASS_MODULUS_LIMIT,
+    _check_class_modulus,
     _class_oracle_need,
     _oracle_need,
     build_spf_table,
@@ -143,18 +143,11 @@ def _parse_eps(raw: str) -> tuple[int, ...]:
         ) from None
 
 
-def _check_modulus(modulus: int, name: str) -> None:
-    # prime_count_in_class and the class oracle refuse a larger modulus
-    # only once they have a table
-    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
-        raise ValueError(f"{name} must be in 1..{_CLASS_MODULUS_LIMIT}")
-
-
 def _cmd_primes(args) -> int:
     if args.limit < 2:
         raise ValueError("--limit must be >= 2")
     if args.mod is not None:
-        _check_modulus(args.mod, "--mod")
+        _check_class_modulus(args.mod, "--mod")
         requested = (
             _parse_ints(args.classes)
             if args.classes is not None
@@ -189,23 +182,23 @@ def _cmd_count(args) -> int:
         raise ValueError("--x and --k must be >= 1")
     payload: dict = {"k": args.k, "mode": args.mode, "x": args.x}
     constraint = None
+    # a constraint option comes with its partner, and neither is ignored
+    pairs = (("eps", "disc"), ("disc", "eps"), ("classes", "mod"), ("mod", "classes"))
+    for option, partner in pairs:
+        if getattr(args, option) is not None and getattr(args, partner) is None:
+            raise ValueError(f"--{option} requires --{partner}")
     if args.eps is not None:
-        if args.disc is None:
-            raise ValueError("--eps requires --disc")
         constraint = SignConstraint(args.disc, _parse_eps(args.eps))
         _enumerable_period(args.disc)
         payload.update(disc=args.disc, eps=args.eps)
     elif args.classes is not None:
-        if args.mod is None:
-            raise ValueError("--classes requires --mod")
-        _check_modulus(args.mod, "--mod")
+        # a usage error here, not _table_need's budget error (exit 1)
+        _check_class_modulus(args.mod, "--mod")
         constraint = ResidueConstraint(args.mod, _parse_ints(args.classes))
         payload.update(classes=list(constraint.residues), mod=args.mod)
-    elif args.mod is not None:
-        raise ValueError("--mod requires --classes")
     if constraint is not None and constraint.k != args.k:
         raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
-    need = _table_need(args.x, args.mod if args.classes is not None else None)
+    need = _table_need(args.x, args.mod)
     table = _get_table(max(need, args.limit or 2))
     mode = _MODES[args.mode]
     if args.eps is not None:
@@ -226,7 +219,7 @@ def _cmd_table(args) -> int:
     period = _enumerable_period(args.disc)
     if args.cross_check:
         # the residue-class rows count the primes mod the period Q of D
-        _check_modulus(period, f"under --cross-check, the period Q = {period}")
+        _check_class_modulus(period, f"under --cross-check, the period Q = {period}")
     need = _table_need(max(grid), period if args.cross_check else None)
     boxes = len(grid) * euler_phi(period) ** args.k if args.cross_check else 0
     if boxes > _CROSS_CHECK_ROW_BUDGET:

@@ -8,26 +8,28 @@ D is odd, since (D/2) = 0 for even D.
 
 Counting reads the one recorded walk of almostprime.py per (x, k, mode),
 its rows labelled by the signs of their leading primes, each evaluated as
-(D/p) once per prime (_sign_groups): a sign count is one count_ranges
-query on _sign_oracle, a prime-count oracle for (x, D, odd_only), over the
-ranges of the rows labelled eps[:-1]. This module owns the one sign-label
-rule, _sign, and builds the oracle's counts from it: a prime is labelled
-+1 or -1 by the class B(+) or B(-) of p mod Q, that is by the real
-character chi mod Q, except that each prime dividing 2D takes (D/p) itself
-(p = 2 takes 0 when odd_only). So the oracle's counts come from pi(v) and
-one prime sum of chi (sieve._prime_sums), with the primes dividing 2D moved
-to their own label; they need the table's primes only up to isqrt(x). The
-unconstrained reference counts read the same rows, unlabelled, on the
-every-prime oracle. The residue-class rows of a cross-check are
-positional counts on the class oracle of sieve.py, whose counts come from
-class arithmetic alone, with no symbol and no chi: they check the sign
-rows by an independent route and need the table only up to isqrt(x), as
-the sign rows do, but their phi(Q) coupled rows face the class budget of
-sieve._class_oracle_need. Their phi(Q)^k rows at one x read the same rows
-of the walk again, labelled by residue. So a table costs one tuple walk
-per x, with or without the cross-check. Once an x's rows are made,
-density_table drops that x's oracles, walk, row groups and counts from the
-table's memo, so a grid holds the entries of one x at a time.
+(D/p) once per prime: _sign_counts is its count table on _sign_oracle, a
+prime-count oracle for (x, D, odd_only), and a sign count is its entry for
+the leading signs eps[:-1] and the last sign eps[-1]. This module owns the
+one sign-label rule, _sign, and builds the oracle's counts from it: a
+prime is labelled +1 or -1 by the class B(+) or B(-) of p mod Q, that is
+by the real character chi mod Q, except that each prime dividing 2D takes
+(D/p) itself (p = 2 takes 0 when odd_only). So the oracle's counts come
+from pi(v) and one prime sum of chi (sieve._prime_sums), with the primes
+dividing 2D moved to their own label; they need the table's primes only up
+to isqrt(x). The unconstrained reference counts read the same rows,
+unlabelled, on the every-prime oracle. The residue-class rows of a
+cross-check are positional counts on the class oracle of sieve.py, whose
+counts come from class arithmetic alone, with no symbol and no chi: they
+check the sign rows by an independent route and need the table only up to
+isqrt(x), as the sign rows do, but their phi(Q) coupled rows face the
+class budget of sieve._class_oracle_need. Their phi(Q)^k rows at one x are
+entries of one count table of the same walk, labelled by residue
+(almostprime._residue_counts). So a table costs one tuple walk per x, with
+or without the cross-check. Once an x's rows are made, density_table drops
+that x's oracles, walk and count tables from the table's memo, so a grid
+holds the entries of one x at a time. The CSV and JSON renderings read
+their columns from one list, _COLUMNS.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +45,8 @@ import numpy as np
 from .arith import euler_phi, kronecker, prime_divisors, squarefree_kernel
 from .almostprime import (
     CountMode,
-    _count_group,
-    _group_rows,
+    _lookup,
+    _tuple_counts,
     _tuple_rows,
     count_almost_primes,
     count_almost_primes_positional,
@@ -131,23 +134,25 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
         if label:
             added[label] += reached
     return _PrimeCountOracle(
-        x, {eps: (pi + eps * chi_sums) // 2 + added[eps] for eps in (1, -1)}
+        x, [((eps,), (pi + eps * chi_sums) // 2 + added[eps]) for eps in (1, -1)]
     )
 
 
 @_table_memo
-def _sign_groups(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
-    """The rows of almostprime._tuple_rows grouped by the _sign labels of
-    their leading primes, with one evaluation per distinct prime. The signs
-    come from the symbol, never from the oracle, so the residue-class rows
-    of --cross-check stay an independent route."""
-    leading, lo, hi = _tuple_rows(table, x, k, strict)
+def _sign_counts(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
+    """almostprime._tuple_counts labelled by _sign, on _sign_oracle, built
+    first so that a table short of isqrt(x) raises before the walk. Each
+    distinct leading prime's sign is evaluated once, from the symbol, never
+    from the oracle, so the residue-class rows of --cross-check stay an
+    independent route."""
+    oracle = _sign_oracle(table, x, d, odd_only)
+    leading, _, _ = _tuple_rows(table, x, k, strict)
     # every leading prime is at most isqrt(x)
     present = np.zeros(math.isqrt(x) + 1, dtype=bool)
     present[leading] = True
     signs = np.zeros(len(present), dtype=np.int8)
     signs[present] = [_sign(d, p, odd_only) for p in np.flatnonzero(present).tolist()]
-    return _group_rows(signs[leading].T, lo, hi)
+    return _tuple_counts(table, x, k, strict, signs, oracle)
 
 
 def count_sign_constrained(
@@ -164,21 +169,19 @@ def count_sign_constrained(
     odd_only drops even n even when D is odd (used when comparing against
     residue-class counts, which only ever see odd primes).
 
-    The count is one query over the rows of the walk per (x, k, mode),
-    labelled by sign, so a lone call walks about 2^(k-1) times the tuples
-    that match; density_table's 2^k sign rows at one x share the walk with
-    its reference count and cross-check rows.
+    The count is one entry of the count table of the walk per (x, k,
+    mode), labelled by sign, so a lone call walks about 2^(k-1) times the
+    tuples that match; density_table's 2^k sign rows at one x read the same
+    table, and share the walk with its reference count and cross-check
+    rows.
     """
     if k < 1 or constraint.k != k:
         raise ValueError("constraint length must equal k >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
     d = constraint.discriminant
-    strict = mode is CountMode.SQUAREFREE
-    # built first, so a table short of isqrt(x) raises before the walk
-    oracle = _sign_oracle(table, x, d, odd_only)
-    groups = _sign_groups(table, x, k, d, odd_only, strict)
-    return _count_group(groups, constraint.epsilons, oracle)
+    counts = _sign_counts(table, x, k, d, odd_only, mode is CountMode.SQUAREFREE)
+    return _lookup(counts, _sign_oracle(table, x, d, odd_only), constraint.epsilons)
 
 
 @dataclass(frozen=True)
@@ -278,55 +281,42 @@ def _residue_rows(
     return rows
 
 
-CSV_HEADER = "x,k,D,constraint,count,reference,empirical,predicted,asymptotic"
+# (output column, DensityRow field), in output order
+_COLUMNS = (
+    ("x", "x"),
+    ("k", "k"),
+    ("D", "discriminant"),
+    ("constraint", "constraint"),
+    ("count", "exact_count"),
+    ("reference", "reference_count"),
+    ("empirical", "empirical_density"),
+    ("predicted", "predicted_density"),
+    ("asymptotic", "asymptotic_value"),
+)
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".6g")
+    if isinstance(value, float):
+        return format(value, ".6g")
+    # integers and labels as they are
+    return str(value)
 
 
 def rows_to_csv(rows: list[DensityRow]) -> str:
-    """Deterministic CSV: integers bare, reals at 6 significant digits,
-    empty field where a density is undefined."""
+    """Deterministic CSV: integers and labels bare, reals at 6 significant
+    digits, empty field where a density is undefined."""
+    # a row's fields in column order, fetched in one call
+    fields = operator.attrgetter(*(field for _, field in _COLUMNS))
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.x),
-                    str(r.k),
-                    str(r.discriminant),
-                    r.constraint,
-                    str(r.exact_count),
-                    str(r.reference_count),
-                    _fmt(r.empirical_density),
-                    _fmt(r.predicted_density),
-                    _fmt(r.asymptotic_value),
-                ]
-            )
-        )
+    lines.extend(",".join([_fmt(v) for v in fields(r)]) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[DensityRow]) -> str:
     """Canonical JSON (sorted keys, tight separators): parse and re-serialize
     reproduces the bytes."""
-    payload = [
-        {
-            "x": r.x,
-            "k": r.k,
-            "D": r.discriminant,
-            "constraint": r.constraint,
-            "count": r.exact_count,
-            "reference": r.reference_count,
-            "empirical": r.empirical_density,
-            "predicted": r.predicted_density,
-            "asymptotic": r.asymptotic_value,
-        }
-        for r in rows
-    ]
+    payload = [{column: getattr(r, field) for column, field in _COLUMNS} for r in rows]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

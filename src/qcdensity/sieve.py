@@ -2,12 +2,15 @@
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
-Range counts have one backend, count_ranges(label, lo, hi): the primes with
-that label over the ranges lo[i] < p <= hi[i], on a _PrimeCountOracle for
-one x. It is a plain lookup. It holds, for each label, the count of the
+Range counts have one backend, count_ranges(lo, hi) on a _PrimeCountOracle
+for one x: for every label at once, the primes with that label over the
+ranges lo[i] < p <= hi[i]. It is a plain lookup. It holds its counts as
+(labels, counts) blocks, one grid-major column per label: the count of the
 primes up to v with that label at every v = x // m, in the layout
-_grid_values gives; queries must have lo and hi on that grid, and hi may be
-as large as x. The caller builds the counts and decides what a label means.
+_grid_values gives. Queries must have lo and hi on that grid, and hi may be
+as large as x; a query finds the grid positions of its bounds once and
+reads every column there. The caller builds the counts and decides what a
+label means.
 Lucy_Hedgehog's recurrence (_sieve_rows) runs on one row of sums or on R
 coupled rows, reading only the primes up to isqrt(x) (_oracle_primes). One
 row sums a periodic completely multiplicative f over the primes up to every
@@ -15,9 +18,10 @@ grid value (_prime_sums): with f = 1 it gives pi(v) (_prime_count_grid),
 the counts of the one label None behind almostprime.py's unconstrained
 counts; density.py builds its sign labels from pi and one more sum. The
 phi(Q) rows of _class_sums count the primes in each unit class mod Q, each
-prime p moving class a * p^-1 into class a; _class_oracle labels them by
-class, and each prime dividing Q by its own class, for the residue-class
-counts: positional (the cross-check rows) and multiset (`count --classes`).
+prime p moving class a * p^-1 into class a; _class_oracle keeps them as one
+block, labelled by class, and each prime dividing Q as a one-column block
+of its own class, for the residue-class counts: positional (the
+cross-check rows) and multiset (`count --classes`).
 The recurrence makes on the order of x^(3/4) updates per row; the steps of
 the primes above x^(1/3) commute, and run as one batch. _oracle_need
 refuses x when that is over the entry budget, as build_spf_table refuses a
@@ -80,6 +84,13 @@ _PRIME_SCAN_CHUNK = 1 << 16
 _CHECK_SAMPLES = 4096
 # pi(10^j) for j = 1..8, checked on a loaded cache up to its limit
 _PRIME_COUNTS_AT_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+
+
+def _check_class_modulus(modulus: int, name: str = "class modulus") -> None:
+    """Refuse a class modulus outside 1.._CLASS_MODULUS_LIMIT, naming it
+    as name in the message."""
+    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
+        raise ValueError(f"{name} must be in 1..{_CLASS_MODULUS_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -330,26 +341,34 @@ class _PrimeCountOracle:
     leading product, and lo, a leading prime or one less, is at most
     isqrt(x).
 
-    cumulative maps each label to the count of the primes up to v with that
-    label, laid out as _grid_values; the caller builds it.
+    blocks holds (labels, counts) pairs, built by the caller: counts has
+    one column per label (a 1-D array is one column), grid-major, each
+    column the count of the primes up to v with that label, laid out as
+    _grid_values. No block is copied. columns maps each label to its
+    position in what count_ranges returns.
     """
 
-    def __init__(self, x: int, cumulative: dict):
+    def __init__(self, x: int, blocks: list):
         self._x = x
         self._r = math.isqrt(x)
-        self._cumulative = cumulative
+        # 2-D views: a 1-D block is one column
+        self._blocks = [counts.reshape(len(counts), -1) for _, counts in blocks]
+        labels = [label for block_labels, _ in blocks for label in block_labels]
+        self.columns = {label: j for j, label in enumerate(labels)}
 
-    def count_ranges(self, label, lo: np.ndarray, hi: np.ndarray) -> int:
-        """Primes with this label summed over the ranges lo[i] < p <= hi[i],
-        every bound in {x // m}, so at least 1. A label with no counts has
-        no primes."""
-        cumulative, r, x = self._cumulative.get(label), self._r, self._x
-        if cumulative is None:
-            return 0
-        upto_hi, upto_lo = (
-            int(cumulative[np.where(v <= r, v, r + x // v)].sum()) for v in (hi, lo)
+    def count_ranges(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The primes of every label, in column order, summed over the
+        ranges lo[i] < p <= hi[i], every bound in {x // m}, so at least 1.
+        The grid positions of the bounds are found once for all labels."""
+        r, x = self._r, self._x
+        at_hi, at_lo = (np.where(v <= r, v, r + x // v) for v in (hi, lo))
+        return np.concatenate(
+            [
+                counts.take(at_hi, axis=0).sum(axis=0)
+                - counts.take(at_lo, axis=0).sum(axis=0)
+                for counts in self._blocks
+            ]
         )
-        return upto_hi - upto_lo
 
 
 def _oracle_need(x: int) -> int:
@@ -399,8 +418,7 @@ def _class_oracle_need(x: int, modulus: int) -> int:
     rows * x^(3/4)) over _CLASS_UPDATE_BUDGET, or rows * (2 r + 1) counts
     held over _CLASS_COUNT_BUDGET.
     """
-    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
-        raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
+    _check_class_modulus(modulus)
     r = math.isqrt(x)
     rows = euler_phi(modulus)
     work, held = rows * r * math.isqrt(r), rows * (2 * r + 1)
@@ -418,15 +436,19 @@ def _class_oracle_need(x: int, modulus: int) -> int:
 def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     """Counts of the primes p = a (mod modulus) at every v in {x // m}, one
     label a per class: the unit classes from _class_sums, and each prime
-    dividing modulus under its own class, which holds no other prime."""
+    dividing modulus under its own class, which holds no other prime: the
+    phi(modulus) columns of _class_sums are one block, and each prime
+    dividing modulus one more."""
     _class_oracle_need(x, modulus)
     units, sums = _class_sums(x, _oracle_primes(table, x), modulus)
     sums.setflags(write=False)
-    cumulative = {a: sums[:, j] for j, a in enumerate(units)}
     grid = _grid_values(x)
-    for p in prime_divisors(modulus) if modulus > 1 else ():
-        cumulative[p % modulus] = (grid >= p).astype(np.int64)
-    return _PrimeCountOracle(x, cumulative)
+    divisors = prime_divisors(modulus) if modulus > 1 else ()
+    return _PrimeCountOracle(
+        x,
+        [(units, sums)]
+        + [((p % modulus,), (grid >= p).astype(np.int64)) for p in divisors],
+    )
 
 
 def _fixed_points(spf: np.ndarray) -> np.ndarray:
@@ -465,8 +487,7 @@ class SpfTable:
     @_table_memo
     def class_index(self, modulus: int) -> _ClassIndex:
         """The primes labelled by their residue mod modulus."""
-        if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
-            raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
+        _check_class_modulus(modulus)
         # the narrowest label type: numpy radix-sorts 8- and 16-bit keys
         labels = (self.primes % modulus).astype(np.min_scalar_type(modulus - 1))
         return _ClassIndex(self.primes, labels)
@@ -520,8 +541,7 @@ def _class_counts(table: SpfTable, x: int, modulus: int) -> np.ndarray:
 def prime_count_in_class(table: SpfTable, x: int, a: int, modulus: int) -> int:
     """Number of primes p <= x with p = a (mod modulus). Requires x <=
     table.limit."""
-    if not 1 <= modulus <= _CLASS_MODULUS_LIMIT:
-        raise ValueError(f"class modulus must be in 1..{_CLASS_MODULUS_LIMIT}")
+    _check_class_modulus(modulus)
     if not 0 <= a < modulus:
         raise ValueError("class must satisfy 0 <= a < modulus")
     return int(_class_counts(table, x, modulus)[a])

@@ -204,6 +204,10 @@ def test_out_flag_unwritable_path(tmp_path):
     ("table", "--x", "100", "--k", "2", "--disc", "4"),
     ("count", "--x", "50", "--k", "2", "--disc", "9", "--eps=++"),
     ("count", "--x", "50", "--k", "2", "--mod", "4", "--classes", "1,2"),
+    # an option the count does not use is refused, not ignored
+    ("count", "--x", "50", "--k", "2", "--disc", "5"),
+    ("count", "--x", "50", "--k", "2", "--disc", "5", "--eps=++", "--mod", "4"),
+    ("count", "--x", "50", "--k", "2", "--disc", "5", "--mod", "4", "--classes", "1,3"),
 ])
 def test_usage_errors_exit_two(args):
     proc = run_cli(*args)
@@ -219,6 +223,11 @@ def test_usage_errors_exit_two(args):
     # the period 4000012 is over the enumeration limit of the sign labels
     ("table", "--x", "50", "--k", "2", "--disc", "1000003"),
     ("count", "--x", "50", "--k", "2", "--disc", "1000003", "--eps=++"),
+    # options the count would not use
+    ("count", "--x", "100000", "--k", "2", "--disc", "5"),
+    ("count", "--x", "100000", "--k", "2", "--disc", "5", "--eps=++", "--mod", "4"),
+    ("count", "--x", "100000", "--k", "2", "--disc", "5", "--mod", "4",
+     "--classes", "1,3"),
 ])
 def test_usage_error_acquires_no_table(args, tmp_path):
     cache = tmp_path / "spf.bin"

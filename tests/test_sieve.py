@@ -255,7 +255,8 @@ def _count_between(primes, lo, hi):
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000, 4099, 65536, 10**5])
 def test_oracle_range_counts_match_the_class_index(table, x):
-    oracle = sieve._PrimeCountOracle(x, {None: sieve._prime_count_grid(table, x)})
+    oracle = sieve._PrimeCountOracle(x, [((None,), sieve._prime_count_grid(table, x))])
+    column = oracle.columns[None]
     every = table.class_index(1)
     bounds = _quotient_bounds(x)
     r = math.isqrt(x)
@@ -267,15 +268,15 @@ def test_oracle_range_counts_match_the_class_index(table, x):
     for lo, hi in pairs:
         lo_a, hi_a = np.array([lo]), np.array([hi])
         expected = every.stats(0, lo, hi)[0]
-        assert oracle.count_ranges(None, lo_a, hi_a) == expected, (lo, hi)
+        assert oracle.count_ranges(lo_a, hi_a)[column] == expected, (lo, hi)
     # every pair of bounds in one query, against the table's primes
     lo_all, hi_all = np.meshgrid(bounds, bounds)
     keep = lo_all <= hi_all
     lo_all, hi_all = lo_all[keep], hi_all[keep]
     expected = _count_between(table.primes, lo_all, hi_all)
-    assert oracle.count_ranges(None, lo_all, hi_all) == expected
+    assert oracle.count_ranges(lo_all, hi_all)[column] == expected
     empty = np.array([], dtype=np.int64)
-    assert oracle.count_ranges(None, empty, empty) == 0
+    assert oracle.count_ranges(empty, empty)[column] == 0
 
 
 @pytest.mark.parametrize("x", [10**6 + 3, 3 * 10**6, 5 * 10**6])
@@ -299,20 +300,23 @@ _CLASS_MODULI = (1, 3, 4, 5, 8, 12, 20, 24)
 def _check_class_oracle(table, x, modulus):
     """Every class a mod modulus (units, and the non-units that hold a
     prime dividing modulus or none) counts on the class oracle as the
-    table's primes of that class number, at every grid value; the classes
-    add up to pi."""
+    table's primes of that class number, at every grid value v >= 1, each
+    the bound of one range (1, v]; the classes add up to pi."""
     oracle = sieve._class_oracle(table, x, modulus)
     residues = table.primes % modulus
-    grid = sieve._grid_values(x)
+    grid = sieve._grid_values(x)[1:]
+    one = np.ones(1, dtype=np.int64)
+    # one query per grid value, for every class's column at once
+    upto = np.array([oracle.count_ranges(one, v * one) for v in grid.tolist()])
     total = np.zeros(len(grid), dtype=np.int64)
     for a in range(modulus):
         in_class = table.primes[residues == a]
         expected = np.searchsorted(in_class, grid, side="right").tolist()
-        counts = oracle._cumulative.get(a)
-        got = [0] * len(grid) if counts is None else counts.tolist()
+        column = oracle.columns.get(a)
+        got = [0] * len(grid) if column is None else upto[:, column].tolist()
         assert got == expected, (x, modulus, a)
         total += got
-    assert (total == sieve._prime_count_grid(table, x)).all()
+    assert (total == sieve._prime_count_grid(table, x)[1:]).all()
 
 
 @settings(max_examples=40, deadline=None)

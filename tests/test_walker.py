@@ -1,9 +1,11 @@
 """Differential property test on random small inputs: every count built on
 the recorded prime-tuple walk against a factorize-and-filter scan
-(positional counts for every residue tuple), the prime-count oracle against
+(positional counts for every residue tuple, and every entry of the residue
+and sign count tables), the prime-count oracle against
 the class index, and the two ordered-tuple routes against each other. Then
 the coverage rule at every public counting entry point."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -13,7 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcdensity as q
-from qcdensity import CountMode, ResidueConstraint, SignConstraint, almostprime
+from qcdensity import (
+    CountMode,
+    ResidueConstraint,
+    SignConstraint,
+    almostprime,
+    density,
+    sieve,
+)
 
 from test_almostprime import _positional_histogram, _scan_count, _scan_positional
 from test_density import _scan_signs
@@ -87,6 +96,62 @@ def test_walker_counts_match_scans(table, case):
     assert q.ordered_tuple_count_via_characters(
         table, x, k, constraint
     ) == pytest.approx(q.ordered_tuple_count(table, x, k, constraint), abs=1e-6)
+
+
+def _label_histogram(table, x, k, mode, label):
+    """How many n <= x with k prime factors have each tuple of labels of
+    their sorted primes (with multiplicity in that mode)."""
+    hist = collections.Counter()
+    for n in range(2, x + 1):
+        factors = q.factorize(table, n).factors
+        if mode is CountMode.SQUAREFREE:
+            if len(factors) != k or any(e > 1 for _, e in factors):
+                continue
+        elif sum(e for _, e in factors) != k:
+            continue
+        hist[tuple(label(p) for p, e in factors for _ in range(e))] += 1
+    return hist
+
+
+def _check_count_table(counts, oracle, hist):
+    """Every entry of a count table (leading labels, last label) equals the
+    scan, and every scanned tuple whose last label has a column is one."""
+    for leading, row in counts.items():
+        for label, column in oracle.columns.items():
+            assert row[column] == hist[(*leading, label)], (leading, label)
+    for labels, n in hist.items():
+        if labels[-1] in oracle.columns:
+            assert almostprime._lookup(counts, oracle, labels) == n, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(1, 3000),
+    k=st.integers(1, 3),
+    modulus=st.sampled_from((1, 3, 4, 5, 8, 12, 20, 24)),
+    mode=st.sampled_from(list(CountMode)),
+    d=st.sampled_from((5, -3, 13, -4, 8, 12, -20, 45)),
+    odd_only=st.booleans(),
+)
+def test_count_tables_match_scans(table, x, k, modulus, mode, d, odd_only):
+    """The residue count table mod N and the sign count table for D against
+    a factorization scan; the residue entries, non-unit classes included,
+    add up to the unconstrained count."""
+    strict = mode is CountMode.SQUAREFREE
+    counts = almostprime._residue_counts(table, x, k, modulus, strict)
+    oracle = sieve._class_oracle(table, x, modulus)
+    hist = _label_histogram(table, x, k, mode, lambda p: p % modulus)
+    _check_count_table(counts, oracle, hist)
+    total = sum(int(row.sum()) for row in counts.values())
+    assert total == sum(hist.values())
+    assert total == q.count_almost_primes(table, x, k, None, mode)
+
+    counts = density._sign_counts(table, x, k, d, odd_only, strict)
+    oracle = density._sign_oracle(table, x, d, odd_only)
+    hist = _label_histogram(
+        table, x, k, mode, lambda p: 0 if odd_only and p == 2 else q.kronecker(d, p)
+    )
+    _check_count_table(counts, oracle, hist)
 
 
 def test_prime_count_at_ten_to_the_ten(table):
