@@ -2,12 +2,13 @@
 tuple sums behind the density estimates.
 
 Every count and sum here, and the sign counts in density.py, reads one
-recorded walk per (x, k, mode): _tuple_rows descends the sorted prime
-tuples p1 <= ... <= pk with product <= x, pruning with p^(positions left)
-<= remaining budget, and records one row per leading tuple, in enumeration
-order: its k - 1 leading primes and the range (lo, hi] of the last prime.
-The walk is memoised in the table's memo dict, so every labelling of the
-same tuples shares it.
+recorded walk per (x, k, mode): _tuple_rows expands the sorted prime
+tuples p1 <= ... <= pk with product <= x one position at a time, as numpy
+arrays, giving each tuple so far the primes p past its last one with
+p^(positions left) <= remaining budget, and records one row per leading
+tuple, in enumeration order: its k - 1 leading primes and the range
+(lo, hi] of the last prime. The walk is memoised in the table's memo
+dict, so every labelling of the same tuples shares it.
 
 Every integer count is a lookup into one count table per labelling
 (_tuple_counts): the rows, sorted by the labels of their leading primes,
@@ -46,7 +47,6 @@ import enum
 import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,35 +130,51 @@ def _tuple_rows(
     and the range lo < pk <= hi of the last prime (int64 arrays lo, hi):
     hi is x over the leading product, lo the previous prime (minus one when
     repeats are allowed; 1 when k = 1). hi never exceeds _coverage_need(x,
-    k). The leading primes are chosen by descent, pruned by p^(positions
-    left) <= remaining budget, so none exceeds isqrt(x // 2^(k-2)); a table
+    k).
+
+    The rows are built one position at a time. The rows so far (leading
+    primes, lo and hi as the budget left) each get as children the primes
+    p in (lo, hi] with p^(positions left) <= hi: one searchsorted of the
+    budgets against exact integer powers finds them, and np.repeat keeps
+    each row's children together and in order, so the rows stay in
+    enumeration order. The walk ends at the last position, or when no row
+    has a child. So no leading prime exceeds isqrt(x // 2^(k-2)); a table
     that stops short of that is refused, so no truncated walk is memoised.
     """
     top = math.isqrt(x >> (k - 2)) if k > 1 else 1
     # prime_count refuses a top past the table's limit
-    primes = table.primes[: prime_count(table, top)].tolist()
-    leading, los, his = array("i"), array("q"), array("q")
-    path: list[int] = []
-    # strict tuples go on after the chosen prime: at the next index, lo = p
-    skip = int(strict)
-
-    def descend(budget: int, depth: int, lo_idx: int, lo_val: int) -> None:
-        if depth == 1:
-            leading.extend(path)
-            los.append(lo_val)
-            his.append(budget)
-            return
-        for i in range(lo_idx, len(primes)):
-            p = primes[i]
-            if p**depth > budget:
-                break
-            path.append(p)
-            descend(budget // p, depth - 1, i + skip, p - 1 + skip)
-            path.pop()
-
-    descend(x, k, 0, 1)
-    lo, hi = np.frombuffer(los, dtype=np.int64), np.frombuffer(his, dtype=np.int64)
-    return np.frombuffer(leading, dtype=np.int32).reshape(len(lo), k - 1), lo, hi
+    primes = table.primes[: prime_count(table, top)].astype(np.int32)
+    # the frontier is the rows of the tuples chosen so far: before the
+    # first position, one row with no leading prime and the range (1, x]
+    leading = np.empty((1, 0), dtype=np.int32)
+    lo, hi = np.ones(1, dtype=np.int64), np.array([x], dtype=np.int64)
+    for depth in range(k, 1, -1):
+        if not len(hi):
+            break
+        # only primes whose depth-th power is at most x, so their int64
+        # powers are exact; the float root plus one is at least the integer
+        # root, and is corrected down to it
+        root = int(x ** (1 / depth)) + 1
+        while root**depth > x:
+            root -= 1
+        powers = primes[: np.searchsorted(primes, root, side="right")]
+        powers = powers.astype(np.int64) ** depth
+        # a row's children are its primes p in (lo, hi] with p^depth <= hi,
+        # the slice primes[start:end]
+        start = np.searchsorted(primes, lo, side="right")
+        counts = np.maximum(np.searchsorted(powers, hi, side="right") - start, 0)
+        # the j-th child overall, the i-th of its row, is primes[start + i]:
+        # j less the children of the rows before, plus start (int32, as the
+        # primes it picks)
+        index = np.repeat((start - np.cumsum(counts) + counts).astype(np.int32), counts)
+        index += np.arange(len(index), dtype=np.int32)
+        leading = np.column_stack((np.repeat(leading, counts, axis=0), primes[index]))
+        del index  # before hi and lo are made, for a lower peak
+        hi = np.repeat(hi, counts)
+        hi //= leading[:, -1]
+        # strict tuples go on after the chosen prime, others at it
+        lo = np.add(leading[:, -1], int(strict) - 1, dtype=np.int64)
+    return leading.reshape(len(hi), k - 1), lo, hi
 
 
 def _tuple_counts(

@@ -61,10 +61,10 @@ _SIGNS = {"+": 1, "-": -1}
 
 CACHE_ENV_VAR = "QCD_SPF_CACHE"
 
-# table --cross-check holds every row in memory before it writes any: about
-# 580 bytes a row (with CPython 3.11, 800000 rows peaked 330 MiB above
-# 200000), so this many rows is about 290 MB
-_CROSS_CHECK_ROW_BUDGET = 5 * 10**5
+# table holds every row in memory before it writes any: about 580 bytes a
+# row (with CPython 3.11, 800000 rows peaked 330 MiB above 200000), so this
+# many rows is about 290 MB
+_TABLE_ROW_BUDGET = 5 * 10**5
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -221,12 +221,19 @@ def _cmd_table(args) -> int:
         # the residue-class rows count the primes mod the period Q of D
         _check_class_modulus(period, f"under --cross-check, the period Q = {period}")
     need = _table_need(max(grid), period if args.cross_check else None)
-    boxes = len(grid) * euler_phi(period) ** args.k if args.cross_check else 0
-    if boxes > _CROSS_CHECK_ROW_BUDGET:
+    # per x, 2^k sign rows, a sum row and, under --cross-check, phi(Q)^k
+    # residue-class rows; 2^k alone is over the budget from this k on, so
+    # no larger k makes a larger integer
+    k = min(args.k, _TABLE_ROW_BUDGET.bit_length())
+    boxes = euler_phi(period) ** k if args.cross_check else 0
+    rows = len(grid) * (2**k + 1 + boxes)
+    if rows > _TABLE_ROW_BUDGET:
+        what = f"--cross-check at {len(grid)} x values mod {period}"
+        if not args.cross_check:
+            what = f"table at {len(grid)} x values with k = {args.k}"
         sys.exit(
-            f"error: --cross-check at {len(grid)} x values mod {period} needs"
-            f" {boxes} residue-class rows, which exceeds the budget of"
-            f" {_CROSS_CHECK_ROW_BUDGET}"
+            f"error: {what} needs at least {rows} rows, which exceeds the"
+            f" budget of {_TABLE_ROW_BUDGET}"
         )
     table = _get_table(max(need, args.limit or 2))
     start = time.monotonic()

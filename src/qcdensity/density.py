@@ -281,42 +281,37 @@ def _residue_rows(
     return rows
 
 
-# (output column, DensityRow field), in output order
+def _fmt(value: float | None) -> str:
+    """A real at 6 significant digits, or empty where it is undefined."""
+    return "" if value is None else format(value, ".6g")
+
+
+# (output column, DensityRow field, CSV format), in output order: integers
+# and labels bare, reals through _fmt
 _COLUMNS = (
-    ("x", "x"),
-    ("k", "k"),
-    ("D", "discriminant"),
-    ("constraint", "constraint"),
-    ("count", "exact_count"),
-    ("reference", "reference_count"),
-    ("empirical", "empirical_density"),
-    ("predicted", "predicted_density"),
-    ("asymptotic", "asymptotic_value"),
+    ("x", "x", str),
+    ("k", "k", str),
+    ("D", "discriminant", str),
+    ("constraint", "constraint", str),
+    ("count", "exact_count", str),
+    ("reference", "reference_count", str),
+    ("empirical", "empirical_density", _fmt),
+    ("predicted", "predicted_density", _fmt),
+    ("asymptotic", "asymptotic_value", _fmt),
 )
-CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    # integers and labels as they are
-    return str(value)
+CSV_HEADER = ",".join(column for column, _, _ in _COLUMNS)
 
 
 def rows_to_csv(rows: list[DensityRow]) -> str:
     """Deterministic CSV: integers and labels bare, reals at 6 significant
     digits, empty field where a density is undefined."""
-    # a row's fields in column order, fetched in one call
-    fields = operator.attrgetter(*(field for _, field in _COLUMNS))
-    lines = [CSV_HEADER]
-    lines.extend(",".join([_fmt(v) for v in fields(r)]) for r in rows)
-    return "\n".join(lines) + "\n"
+    # formatted a column at a time, so each value costs one call
+    columns = [map(fmt, map(operator.attrgetter(f), rows)) for _, f, fmt in _COLUMNS]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def rows_to_json(rows: list[DensityRow]) -> str:
     """Canonical JSON (sorted keys, tight separators): parse and re-serialize
     reproduces the bytes."""
-    payload = [{column: getattr(r, field) for column, field in _COLUMNS} for r in rows]
+    payload = [{column: getattr(r, f) for column, f, _ in _COLUMNS} for r in rows]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -308,6 +308,38 @@ def test_cross_check_rows_over_budget_exit_one(tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("args", [
+    # 2^19 + 1 sign and sum rows at one x; 2^40 + 1 printed nothing in 60 s
+    ("table", "--x", "1000", "--k", "19", "--disc", "5"),
+    ("table", "--x", "100", "--k", "40", "--disc", "5"),
+    # 2 * (2^18 + 1) rows over two x values
+    ("table", "--x", "1000,2000", "--k", "18", "--disc", "5"),
+    # a huge k is refused without a huge power of 2 or of phi(Q)
+    ("table", "--x", "100", "--k", "100000000000", "--disc", "5"),
+    ("table", "--x", "100", "--k", "1000000000000", "--disc", "5", "--cross-check"),
+])
+def test_table_rows_over_budget_exit_one(tmp_path, args):
+    # every row of a table is held in memory before any is written: sign,
+    # sum and residue-class rows are counted before any table is acquired
+    cache = tmp_path / "spf.bin"
+    proc = run_cli(*args, env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "rows, which exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not cache.exists()
+
+
+def test_table_rows_within_budget_run():
+    # 2^16 + 1 = 65537 rows at one x, under the row budget
+    proc = run_cli("table", "--x", "1000", "--k", "16", "--disc", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + 2**16 + 1
+    assert lines[-1].startswith("1000,16,5,sum,0,0,")
+
+
 def test_class_counts_need_only_a_square_root_table(tmp_path):
     # the residue-multiset count reads the class oracle: a table to isqrt(10^8)
     cache = tmp_path / "spf.bin"

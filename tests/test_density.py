@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-from array import array
+import sys
 
 import numpy as np
 import pytest
@@ -300,36 +300,38 @@ class _WalkLog(dict):
         super().__setitem__(key, value)
 
 
-def _walks(monkeypatch, job) -> list:
-    """The walks job makes, as the memo stores them; each walk records its
-    leading primes in one new array("i"), so a walk made outside the memo
-    shows up as one array too many."""
+def _walks(job) -> list:
+    """The walks job makes, as the memo stores them. A profile hook notes
+    the (x, k, strict) of every run of the walk's code, so a walk made
+    outside the memo shows up as one run too many."""
     table = q.build_spf_table(10**5)
     table.memo = log = _WalkLog()
-    made = []
+    walk = almostprime._tuple_rows.__wrapped__.__code__
+    runs = []
 
-    def counted(typecode, *args):
-        made.append(typecode)
-        return array(typecode, *args)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            runs.append(tuple(frame.f_locals[name] for name in ("x", "k", "strict")))
 
-    monkeypatch.setattr(almostprime, "array", counted)
-    job(table)
-    assert made.count("i") == len(log.walks)
+    sys.setprofile(profile)
+    try:
+        job(table)
+    finally:
+        sys.setprofile(None)
+    assert runs == log.walks
     return log.walks
 
 
 @pytest.mark.parametrize("cross_check", [False, True])
-def test_density_table_walks_each_x_once(monkeypatch, cross_check):
+def test_density_table_walks_each_x_once(cross_check):
     """The sign rows, the reference and every cross-check row at one x read
     one walk."""
-    walks = _walks(
-        monkeypatch, lambda t: q.density_table(t, [10**4, 10**5], 3, 5, cross_check)
-    )
+    walks = _walks(lambda t: q.density_table(t, [10**4, 10**5], 3, 5, cross_check))
     assert walks == [(10**4, 3, True), (10**5, 3, True)]
 
 
-def test_verify_walks_no_tuples_twice(monkeypatch):
-    walks = _walks(monkeypatch, lambda t: q.run_suite(t, "all", 10**4))
+def test_verify_walks_no_tuples_twice():
+    walks = _walks(lambda t: q.run_suite(t, "all", 10**4))
     assert walks
     assert len(walks) == len(set(walks))
 

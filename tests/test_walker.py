@@ -9,7 +9,10 @@ import collections
 import dataclasses
 import itertools
 import math
+import time
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -172,6 +175,72 @@ def test_the_walk_refuses_a_table_short_of_its_leading_primes():
         almostprime._tuple_rows(short, 1000, 2, False)
     assert short.memo == {}
     assert almostprime._tuple_rows(q.build_spf_table(31), 1000, 2, False)[0].max() == 31
+
+
+def _recursive_rows(table, x, k, strict):
+    """The walk as a recursive descent, one call per row, recorded in array
+    buffers: the reference for _tuple_rows."""
+    top = math.isqrt(x >> (k - 2)) if k > 1 else 1
+    primes = table.primes[: sieve.prime_count(table, top)].tolist()
+    leading, los, his = array("i"), array("q"), array("q")
+    path = []
+    skip = int(strict)
+
+    def descend(budget, depth, lo_idx, lo_val):
+        if depth == 1:
+            leading.extend(path)
+            los.append(lo_val)
+            his.append(budget)
+            return
+        for i in range(lo_idx, len(primes)):
+            p = primes[i]
+            if p**depth > budget:
+                break
+            path.append(p)
+            descend(budget // p, depth - 1, i + skip, p - 1 + skip)
+            path.pop()
+
+    descend(x, k, 0, 1)
+    lo, hi = np.frombuffer(los, dtype=np.int64), np.frombuffer(his, dtype=np.int64)
+    return np.frombuffer(leading, dtype=np.int32).reshape(len(lo), k - 1), lo, hi
+
+
+def _check_rows(rows, expected):
+    for got, want in zip(rows, expected, strict=True):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 10**5), k=st.integers(1, 4), strict=st.booleans())
+def test_the_walk_matches_the_recursive_descent(table, x, k, strict):
+    """Rows equal in value, enumeration order, shape and dtype, on a table
+    exactly at the walk's need and on a larger one."""
+    need = math.isqrt(x >> (k - 2)) if k > 1 else 1
+    expected = _recursive_rows(table, x, k, strict)
+    _check_rows(almostprime._tuple_rows(table, x, k, strict), expected)
+    at_need = q.build_spf_table(max(need, 2))
+    _check_rows(almostprime._tuple_rows(at_need, x, k, strict), expected)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_the_walk_matches_the_recursive_descent_at_ten_to_the_ten(table, strict):
+    # about 6 * 10^5 rows; p^4 <= 10^10 bounds the first prime by 316
+    rows = almostprime._tuple_rows.__wrapped__(table, 10**10, 4, strict)
+    _check_rows(rows, _recursive_rows(table, 10**10, 4, strict))
+
+
+def test_an_empty_frontier_ends_the_walk(table):
+    # no prime p has p^1000 <= 1000: the first position has no children
+    assert q.count_almost_primes(table, 1000, 1000) == 0
+    leading, lo, hi = almostprime._tuple_rows(table, 1000, 1000, True)
+    assert leading.shape == (0, 999) and lo.shape == hi.shape == (0,)
+    # 10^5 positions cost one pass, not one pass per position (about 20 s)
+    start = time.perf_counter()
+    leading, _, _ = almostprime._tuple_rows(table, 1000, 10**5, False)
+    assert leading.shape == (0, 10**5 - 1)
+    assert time.perf_counter() - start < 2
 
 
 def _scan_ordered(table, x, k, constraint):
