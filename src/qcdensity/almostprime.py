@@ -149,7 +149,10 @@ def _tuple_rows(
     leading = np.empty((1, 0), dtype=np.int32)
     lo, hi = np.ones(1, dtype=np.int64), np.array([x], dtype=np.int64)
     for depth in range(k, 1, -1):
-        if not len(hi):
+        if not len(hi) or depth >= x.bit_length():
+            # no row left, or 2^depth > x, so no prime has a child: checked
+            # before any power is taken, so no power grows with k
+            lo, hi = lo[:0], hi[:0]
             break
         # only primes whose depth-th power is at most x, so their int64
         # powers are exact; the float root plus one is at least the integer

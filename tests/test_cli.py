@@ -340,6 +340,13 @@ def test_table_rows_within_budget_run():
     assert lines[-1].startswith("1000,16,5,sum,0,0,")
 
 
+def test_count_at_a_huge_k_is_zero_at_once():
+    # 2^k > x: the walk stops before it takes any power with k bits
+    proc = run_cli("count", "--x", "1000", "--k", "100000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_class_counts_need_only_a_square_root_table(tmp_path):
     # the residue-multiset count reads the class oracle: a table to isqrt(10^8)
     cache = tmp_path / "spf.bin"

@@ -9,7 +9,6 @@ import collections
 import dataclasses
 import itertools
 import math
-import time
 from array import array
 
 import numpy as np
@@ -231,16 +230,31 @@ def test_the_walk_matches_the_recursive_descent_at_ten_to_the_ten(table, strict)
     _check_rows(rows, _recursive_rows(table, 10**10, 4, strict))
 
 
-def test_an_empty_frontier_ends_the_walk(table):
+def test_an_empty_frontier_ends_the_walk(table, monkeypatch):
     # no prime p has p^1000 <= 1000: the first position has no children
     assert q.count_almost_primes(table, 1000, 1000) == 0
     leading, lo, hi = almostprime._tuple_rows(table, 1000, 1000, True)
     assert leading.shape == (0, 999) and lo.shape == hi.shape == (0,)
-    # 10^5 positions cost one pass, not one pass per position (about 20 s)
-    start = time.perf_counter()
-    leading, _, _ = almostprime._tuple_rows(table, 1000, 10**5, False)
-    assert leading.shape == (0, 10**5 - 1)
-    assert time.perf_counter() - start < 2
+    # the walk stops when no row has a child: strict at k = 9, only 2 has
+    # p^9 <= 1000 and no prime past 2 has p^8 <= 500, so two of the eight
+    # expansions (np.column_stack) run, the second with no rows; from k =
+    # 10 = (1000).bit_length() on, none runs and no power with k bits is
+    # built (2^(10^11) would not return)
+    passes = []
+    column_stack = np.column_stack
+
+    def counted(arrays):
+        passes.append(len(arrays[0]))
+        return column_stack(arrays)
+
+    monkeypatch.setattr(np, "column_stack", counted)
+    for k, strict, expected in ((9, True, [1, 0]), (10, False, []), (10**11, False, [])):
+        passes.clear()
+        leading, lo, hi = almostprime._tuple_rows.__wrapped__(table, 1000, k, strict)
+        assert leading.shape == (0, k - 1) and lo.shape == hi.shape == (0,)
+        assert lo.dtype == hi.dtype == np.int64 and leading.dtype == np.int32
+        assert passes == expected
+    assert q.count_almost_primes(table, 1000, 10**11) == 0
 
 
 def _scan_ordered(table, x, k, constraint):
