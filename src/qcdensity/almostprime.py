@@ -296,10 +296,10 @@ def count_almost_primes_positional(
     The count is one entry of the count table of the walk per (x, k,
     mode), labelled by residue, on the class oracle for (x, modulus), so it
     needs the table only up to isqrt(x), and modulus faces the class
-    budget of sieve._class_oracle_need. A lone call walks, and counts,
-    every leading tuple, about phi(modulus)^(k-1) times the tuples that
-    match; the cross-check rows of density.py read every entry of the same
-    table. Residue-multiset counts (count_almost_primes with a constraint)
+    budget of sieve._oracle_need (a sieve.BudgetError over it). A lone
+    call walks, and counts, every leading tuple, about phi(modulus)^(k-1)
+    times the tuples that match; the cross-check rows of density.py read
+    every entry of the same table. Residue-multiset counts (count_almost_primes with a constraint)
     read the same table, so a lone `count --classes` counts every leading
     tuple too.
     """

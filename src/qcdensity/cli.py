@@ -10,8 +10,10 @@ checks presence and exclusivity, the library's own constructors such as
 SignConstraint, ResidueConstraint and residues._enumerable_period check
 values), then acquires the prime table with _get_table, computes, and hands
 a (payload, text) pair to _render. So a usage error is reported before any
-table is built or cached. main is the one place where a ValueError, raised
-by an argument check or by the library, becomes a usage error.
+table is built or cached. main is the one place where a refusal becomes an
+exit code: a sieve.BudgetError, from a budget check in the library or here,
+exits 1, and any other ValueError, raised by an argument check or by the
+library, is a usage error.
 
 Output is deterministic: identical argv yields byte-identical output, and
 JSON is always canonical (sorted keys, tight separators) so that parsing
@@ -40,8 +42,8 @@ from .density import (
 from .quadratic import QuadraticForm, count_roots_bruteforce
 from .residues import _enumerable_period, residue_classes_direct
 from .sieve import (
+    BudgetError,
     _check_class_modulus,
-    _class_oracle_need,
     _oracle_need,
     build_spf_table,
     load_spf_cache,
@@ -50,7 +52,7 @@ from .sieve import (
     save_spf_cache,
     spf_cache_limit,
 )
-from .verify import SUITES, format_report, run_suite
+from .verify import RESIDUE_PRIME_LIMIT, SUITES, format_report, run_suite
 
 _MODES = {
     "squarefree": CountMode.SQUAREFREE,
@@ -97,32 +99,13 @@ def _get_table(min_limit: int):
         except (OSError, ValueError) as exc:
             # unreadable (a directory, no permission) or corrupt: rebuilt
             print(f"warning: ignoring SPF cache {path}: {exc}", file=sys.stderr)
-    try:
-        table = build_spf_table(limit)
-    except ValueError as exc:
-        # over the entry budget: a runtime limit (exit 1), not a usage error
-        sys.exit(f"error: {exc}")
+    table = build_spf_table(limit)
     if path:
         try:
             save_spf_cache(table, path)
         except OSError as exc:
             print(f"warning: could not write SPF cache {path}: {exc}", file=sys.stderr)
     return table
-
-
-def _table_need(x: int, modulus: int | None = None) -> int:
-    """The table limit a count at x needs: isqrt(x), the primes every oracle
-    reads (the prime-count oracle of the sign and unconstrained counts, and,
-    given a modulus, the class oracle of the residue-class counts, whose
-    class budget is checked too). An oracle over its budget is a runtime
-    limit (exit 1), as an oversized table is in _get_table."""
-    try:
-        need = _oracle_need(x)
-        if modulus is not None:
-            _class_oracle_need(x, modulus)
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
-    return need
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -192,13 +175,13 @@ def _cmd_count(args) -> int:
         _enumerable_period(args.disc)
         payload.update(disc=args.disc, eps=args.eps)
     elif args.classes is not None:
-        # a usage error here, not _table_need's budget error (exit 1)
+        # a usage error here, not _oracle_need's budget error (exit 1)
         _check_class_modulus(args.mod, "--mod")
         constraint = ResidueConstraint(args.mod, _parse_ints(args.classes))
         payload.update(classes=list(constraint.residues), mod=args.mod)
     if constraint is not None and constraint.k != args.k:
         raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
-    need = _table_need(args.x, args.mod)
+    need = _oracle_need(args.x, args.mod)
     table = _get_table(max(need, args.limit or 2))
     mode = _MODES[args.mode]
     if args.eps is not None:
@@ -220,7 +203,7 @@ def _cmd_table(args) -> int:
     if args.cross_check:
         # the residue-class rows count the primes mod the period Q of D
         _check_class_modulus(period, f"under --cross-check, the period Q = {period}")
-    need = _table_need(max(grid), period if args.cross_check else None)
+    need = _oracle_need(max(grid), period if args.cross_check else None)
     # per x, 2^k sign rows, a sum row and, under --cross-check, phi(Q)^k
     # residue-class rows; 2^k alone is over the budget from this k on, so
     # no larger k makes a larger integer
@@ -231,8 +214,8 @@ def _cmd_table(args) -> int:
         what = f"--cross-check at {len(grid)} x values mod {period}"
         if not args.cross_check:
             what = f"table at {len(grid)} x values with k = {args.k}"
-        sys.exit(
-            f"error: {what} needs at least {rows} rows, which exceeds the"
+        raise BudgetError(
+            f"{what} needs at least {rows} rows, which exceeds the"
             f" budget of {_TABLE_ROW_BUDGET}"
         )
     table = _get_table(max(need, args.limit or 2))
@@ -289,8 +272,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.x < 100:
         raise ValueError("--x must be >= 100")
-    limit = max(args.limit or 10**5, args.x)
-    table = _get_table(limit)
+    # --limit raises the table, never lowers it below what the suites read
+    table = _get_table(max(args.limit or 2, RESIDUE_PRIME_LIMIT, args.x))
     start = time.monotonic()
     results = run_suite(table, args.suite, args.x)
     passed = sum(r.passed for r in results)
@@ -393,13 +376,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--threads must be >= 1")
     try:
         return _HANDLERS[args.command](args)
+    except (BudgetError, OSError) as exc:
+        # a runtime limit: a request over a budget, or an I/O failure (e.g.
+        # --out into a missing directory), not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # an argument check or the library refused a value
         parser.error(str(exc))
-    except OSError as exc:
-        # runtime I/O failure (e.g. --out into a missing directory), not a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

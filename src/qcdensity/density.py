@@ -23,10 +23,10 @@ cross-check are positional counts on the class oracle of sieve.py, whose
 counts come from class arithmetic alone, with no symbol and no chi: they
 check the sign rows by an independent route and need the table only up to
 isqrt(x), as the sign rows do, but their phi(Q) coupled rows face the
-class budget of sieve._class_oracle_need. Their phi(Q)^k rows at one x are
-entries of one count table of the same walk, labelled by residue
-(almostprime._residue_counts). So a table costs one tuple walk per x, with
-or without the cross-check. Once an x's rows are made, density_table drops
+class budget of sieve._oracle_need (a sieve.BudgetError over it). Their
+phi(Q)^k rows at one x are entries of one count table of the same walk,
+labelled by residue (almostprime._residue_counts). So a table costs one
+tuple walk per x, with or without the cross-check. Once an x's rows are made, density_table drops
 that x's oracles, walk and count tables from the table's memo, so a grid
 holds the entries of one x at a time. The CSV and JSON renderings read
 their columns from one list, _COLUMNS.

@@ -21,6 +21,9 @@ from .arith import crt_combine, euler_phi, kronecker, squarefree_kernel
 from .sieve import build_spf_table
 
 _ENUMERATION_LIMIT = 10**6
+# _unit_symbols keeps this many D: each caller reads one D at a time, and
+# an array is about Q bytes, so a few stay bounded at Q near 10^6
+_SYMBOL_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,13 @@ def _enumerable_period(d: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
 def _unit_symbols(d: int) -> np.ndarray:
     """The symbol of d's squarefree kernel at every a mod Q, as int8: +-1 on
     the units, 0 elsewhere; that is, the real character mod Q that gives
-    (d/p) for every prime p not dividing 2d. Computed once per d, and
-    read-only because every caller shares it.
+    (d/p) for every prime p not dividing 2d. Computed once per d while it is
+    among the last _SYMBOL_CACHE_SIZE asked for, and read-only because
+    every caller shares it.
 
     The symbol is completely multiplicative in a, so kronecker runs only at
     the primes below Q that do not divide it (the others take 0, and so

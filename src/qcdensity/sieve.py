@@ -23,13 +23,16 @@ block, labelled by class, and each prime dividing Q as a one-column block
 of its own class, for the residue-class counts: positional (the
 cross-check rows) and multiset (`count --classes`).
 The recurrence makes on the order of x^(3/4) updates per row; the steps of
-the primes above x^(1/3) commute, and run as one batch. _oracle_need
-refuses x when that is over the entry budget, as build_spf_table refuses a
-table of more entries, and _class_oracle_need refuses phi(Q) rows whose
-updates or counts are over the class budget: 10^9 updates, about 3-4 s
-(3-4 ns an update for 8 to 24 rows at x = 10^10 to 4.6*10^10, up to 8 ns
-for thousands of rows at a small x, on a shared 2-vCPU VM), and 5*10^6
-counts (40 MB of rows; a pass peaks at about twice that).
+the primes above x^(1/3) commute, and run as one batch. _oracle_need is the
+one cost check of the prime sums, made before any is computed: it refuses
+x when the updates of one row are over the prime-count budget (10^8), and,
+given a modulus Q, phi(Q) rows whose updates or counts are over the class
+budget: 10^9 updates, about 3-4 s (3-4 ns an update for 8 to 24 rows at
+x = 10^10 to 4.6*10^10, up to 8 ns for thousands of rows at a small x, on
+a shared 2-vCPU VM), and 5*10^6 counts (40 MB of rows; a pass peaks at
+about twice that). Every budget refusal, there, in build_spf_table (the
+entry budget) and in the CLI, raises BudgetError, a ValueError: the
+request is well formed but too large to run.
 
 Two readers of the table's primes stay outside that backend. _ClassIndex
 groups them by one integer label (class_index(N) labels by p mod N) and
@@ -74,8 +77,9 @@ _MAGIC = b"SPF1"
 _CLASS_MODULUS_LIMIT = 10**5
 # _sieve_tail gathers its terms about this many entries at a time
 _TAIL_TERMS = 1 << 12
-# the class oracle's budget (_class_oracle_need): recurrence updates, and
-# counts held
+# the budgets of _oracle_need: the recurrence updates of one row of prime
+# sums; and the class sums' updates, and counts held
+_PRIME_COUNT_UPDATE_BUDGET = 10**8
 _CLASS_UPDATE_BUDGET = 10**9
 _CLASS_COUNT_BUDGET = 5 * 10**6
 # the sieve marks, and SpfTable finds, its primes this many entries at a time
@@ -84,6 +88,11 @@ _PRIME_SCAN_CHUNK = 1 << 16
 _CHECK_SAMPLES = 4096
 # pi(10^j) for j = 1..8, checked on a loaded cache up to its limit
 _PRIME_COUNTS_AT_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455)
+
+
+class BudgetError(ValueError):
+    """A request over a work or memory budget: well formed, but refused
+    before it allocates, as too large to run."""
 
 
 def _check_class_modulus(modulus: int, name: str = "class modulus") -> None:
@@ -371,28 +380,47 @@ class _PrimeCountOracle:
         )
 
 
-def _oracle_need(x: int) -> int:
-    """The table limit a prime-count oracle for x needs: isqrt(x).
+def _oracle_need(x: int, modulus: int | None = None) -> int:
+    """The table limit the prime sums for x need: isqrt(x), the one cost
+    check before any sum is made.
 
-    Raises ValueError when r * isqrt(r), r = isqrt(x), exceeds the entry
-    budget: that is about x^(3/4), and about twice the updates
-    Lucy_Hedgehog's recurrence makes (measured at x = 10^8 to 10^11).
+    Raises ValueError when modulus is outside the class range, then
+    BudgetError when r * isqrt(r) (r = isqrt(x)) exceeds
+    _PRIME_COUNT_UPDATE_BUDGET: that is about x^(3/4), and about twice the
+    updates Lucy_Hedgehog's recurrence makes (measured at x = 10^8 to
+    10^11). Given a modulus, the phi(modulus) rows of _class_sums are
+    checked too: rows * r * isqrt(r) updates over _CLASS_UPDATE_BUDGET, or
+    rows * (2 r + 1) counts held over _CLASS_COUNT_BUDGET.
     """
+    if modulus is not None:
+        _check_class_modulus(modulus)
     r = math.isqrt(x)
     work = r * math.isqrt(r)
-    if work > DEFAULT_MAX_ENTRIES:
-        raise ValueError(
+    if work > _PRIME_COUNT_UPDATE_BUDGET:
+        raise BudgetError(
             f"prime counts to x = {x} need about x^(3/4) = {work} updates,"
-            f" which exceeds the budget of {DEFAULT_MAX_ENTRIES}"
+            f" which exceeds the budget of {_PRIME_COUNT_UPDATE_BUDGET}"
         )
+    if modulus is not None:
+        rows = euler_phi(modulus)
+        held = rows * (2 * r + 1)
+        if rows * work > _CLASS_UPDATE_BUDGET or held > _CLASS_COUNT_BUDGET:
+            raise BudgetError(
+                f"class counts to x = {x} mod {modulus} need {rows} rows of"
+                f" {2 * r + 1} counts and about {rows * work} updates, which"
+                f" exceeds the budget of {_CLASS_COUNT_BUDGET} counts and"
+                f" {_CLASS_UPDATE_BUDGET} updates"
+            )
     return r
 
 
-def _oracle_primes(table: SpfTable, x: int) -> np.ndarray:
-    """The table's primes up to isqrt(x), all that _prime_sums reads for x.
-    Raises ValueError when x is over the work budget (_oracle_need) or the
-    table stops short of isqrt(x)."""
-    r = _oracle_need(x)
+def _oracle_primes(
+    table: SpfTable, x: int, modulus: int | None = None
+) -> np.ndarray:
+    """The table's primes up to isqrt(x), all that the prime sums for x
+    read (the class sums, given a modulus). Raises what _oracle_need raises,
+    and ValueError when the table stops short of isqrt(x)."""
+    r = _oracle_need(x, modulus)
     if r > table.limit:
         raise ValueError(
             f"table limit {table.limit} too small for prime counts to x = {x}"
@@ -410,28 +438,6 @@ def _prime_count_grid(table: SpfTable, x: int) -> np.ndarray:
     return pi
 
 
-def _class_oracle_need(x: int, modulus: int) -> int:
-    """The table limit a class oracle for x mod modulus needs: isqrt(x).
-
-    Raises ValueError when the phi(modulus) rows of _class_sums are over
-    the class budget: rows * r * isqrt(r) updates (r = isqrt(x), about
-    rows * x^(3/4)) over _CLASS_UPDATE_BUDGET, or rows * (2 r + 1) counts
-    held over _CLASS_COUNT_BUDGET.
-    """
-    _check_class_modulus(modulus)
-    r = math.isqrt(x)
-    rows = euler_phi(modulus)
-    work, held = rows * r * math.isqrt(r), rows * (2 * r + 1)
-    if work > _CLASS_UPDATE_BUDGET or held > _CLASS_COUNT_BUDGET:
-        raise ValueError(
-            f"class counts to x = {x} mod {modulus} need {rows} rows of"
-            f" {2 * r + 1} counts and about {work} updates, which exceeds the"
-            f" budget of {_CLASS_COUNT_BUDGET} counts and"
-            f" {_CLASS_UPDATE_BUDGET} updates"
-        )
-    return r
-
-
 @_table_memo
 def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     """Counts of the primes p = a (mod modulus) at every v in {x // m}, one
@@ -439,8 +445,7 @@ def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     dividing modulus under its own class, which holds no other prime: the
     phi(modulus) columns of _class_sums are one block, and each prime
     dividing modulus one more."""
-    _class_oracle_need(x, modulus)
-    units, sums = _class_sums(x, _oracle_primes(table, x), modulus)
+    units, sums = _class_sums(x, _oracle_primes(table, x, modulus), modulus)
     sums.setflags(write=False)
     grid = _grid_values(x)
     divisors = prime_divisors(modulus) if modulus > 1 else ()
@@ -496,13 +501,13 @@ class SpfTable:
 def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:
     """Sieve smallest prime factors for 2..limit.
 
-    Raises ValueError when limit + 1 exceeds the entry budget; pass a larger
-    max_entries to opt in to bigger tables.
+    Raises BudgetError when limit + 1 exceeds the entry budget; pass a
+    larger max_entries to opt in to bigger tables.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit + 1 > max_entries:
-        raise ValueError(
+        raise BudgetError(
             f"table of {limit + 1} entries exceeds the budget of {max_entries}"
         )
     if limit >= 2**32:
@@ -609,9 +614,9 @@ def _check_content(table: SpfTable) -> None:
 
 def _read_cache_header(fh, max_entries: int) -> int:
     """The limit in the header of the SPF1 cache open as fh, which is left
-    at the first entry. Raises ValueError on a bad magic or header limit, a
-    header limit over the entry budget, or a file whose length does not
-    match its header limit."""
+    at the first entry. Raises ValueError on a bad magic or header limit,
+    or a file whose length does not match its header limit, and BudgetError
+    on a header limit over the entry budget."""
     magic = fh.read(4)
     if magic != _MAGIC:
         raise ValueError(f"bad cache magic {magic!r}")
@@ -622,7 +627,7 @@ def _read_cache_header(fh, max_entries: int) -> int:
     if file_limit < 2:
         raise ValueError(f"bad cache limit {file_limit}")
     if file_limit + 1 > max_entries:
-        raise ValueError(
+        raise BudgetError(
             f"cached table of {file_limit + 1} entries exceeds the budget"
             f" of {max_entries}"
         )
@@ -646,9 +651,10 @@ def load_spf_cache(
     to limit: the table's limit is the smaller of limit and the file's, and
     the whole file when limit is None.
 
-    Raises ValueError on a bad magic or header limit, a header limit over
-    the entry budget, a file whose length does not match its header limit
-    (whatever limit is asked for), or a slice that fails _check_content.
+    Raises ValueError on a bad magic or header limit, a file whose length
+    does not match its header limit (whatever limit is asked for), or a
+    slice that fails _check_content, and BudgetError on a header limit
+    over the entry budget.
     """
     if limit is not None and limit < 2:
         raise ValueError("limit must be >= 2")

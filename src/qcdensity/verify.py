@@ -36,6 +36,9 @@ RESIDUAL_TOLERANCE = 1e-9
 SUITES = ("orthogonality", "recursions", "residues", "quadratic", "sandwich")
 
 RESIDUE_DISCRIMINANTS = (2, -2, 3, -3, 5, -5, 6, -7, 10, 13, 15, -20, 21)
+# the residues suite checks the symbol at every prime up to this, where the
+# table reaches
+RESIDUE_PRIME_LIMIT = 10**5
 
 # one form per discriminant in the oracle set {5, -3, 13, -20, 21, -7}
 QUADRATIC_FORMS = (
@@ -131,9 +134,9 @@ def check_recursions(table: SpfTable, x_max: int = 10**4) -> list[CheckResult]:
 def check_residues(table: SpfTable) -> list[CheckResult]:
     """Direct and constructive class sets must agree exactly, have size
     phi(Q)/2 each, partition the units mod Q, and predict kronecker(D, p)
-    for every prime p up to 10^5 not dividing 2D."""
+    for every prime p up to RESIDUE_PRIME_LIMIT not dividing 2D."""
     results = []
-    p_max = min(10**5, table.limit)
+    p_max = min(RESIDUE_PRIME_LIMIT, table.limit)
     upto = prime_count(table, p_max)
     primes = table.primes_list[:upto]
     for d in RESIDUE_DISCRIMINANTS:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qcdensity as q
+from qcdensity import characters
 
 
 def _phi(n):
@@ -139,6 +140,21 @@ def test_character_sum_over_group_detects_one():
         total = sum(q.evaluate(group, i, n) for i in range(phi))
         expected = phi if n % 20 == 1 else 0
         assert abs(total - expected) < 1e-9
+
+
+def test_orthogonality_by_the_character_loop():
+    # order 2052 is over the value matrix's limit: the sum loops over the
+    # characters, one value at a time
+    group = q.build_character_group(2053)
+    phi = group.group_order
+    assert phi == 2052 > characters._TABLE_UNIT_LIMIT
+    for m, n in [(1, 1), (2, 2), (2, 3), (5, 2052), (2, 2055), (1234, 17)]:
+        expected = phi if (m - n) % 2053 == 0 else 0
+        assert abs(q.orthogonality_sum(group, m, n) - expected) < 1e-9
+    # a non-unit n
+    assert abs(q.orthogonality_sum(group, 3, 2053)) < 1e-9
+    with pytest.raises(ValueError, match="too large"):
+        group.unit_value_matrix()
 
 
 def test_group_modulus_cap():

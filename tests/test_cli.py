@@ -166,6 +166,19 @@ def test_verify_json_payload():
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("suite", ["residues", "quadratic"])
+def test_verify_limit_is_a_minimum(monkeypatch, capsys, suite):
+    # --limit 200 below the default table changes nothing the suites check:
+    # residues still reads the primes to 10^5, quadratic the moduli to 5000
+    monkeypatch.delenv("QCD_SPF_CACHE", raising=False)
+    outputs = []
+    for extra in ([], ["--limit", "200"]):
+        assert cli.main(["verify", "--suite", suite, "--x", "100", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert ("9591 primes checked" if suite == "residues" else "<= 5000") in outputs[0]
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "classes.txt"
     proc = run_cli("residues", "--disc", "5", "--eps", "+", "--out", str(target))
@@ -329,6 +342,21 @@ def test_table_rows_over_budget_exit_one(tmp_path, args):
     assert "rows, which exceeds the budget" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("primes", "--limit", "200000000"),
+    ("count", "--x", "9999999999999999", "--k", "1"),
+    ("count", "--x", "10000", "--k", "1", "--mod", "99991", "--classes", "1"),
+    ("table", "--x", "100", "--k", "40", "--disc", "5"),
+])
+def test_budget_refusal_returns_one_in_process(monkeypatch, capsys, args):
+    # main alone turns a refusal into an exit code: no SystemExit escapes
+    monkeypatch.delenv("QCD_SPF_CACHE", raising=False)
+    assert cli.main(list(args)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the budget" in err
 
 
 def test_table_rows_within_budget_run():

@@ -1,6 +1,7 @@
 """Sign-class residue sets B(eps) mod the character period Q."""
 
 import math
+import weakref
 
 import pytest
 
@@ -112,6 +113,20 @@ def _unit_scan(d):
 @pytest.mark.parametrize("d", sorted({*RESIDUE_DISCRIMINANTS, 100003, -4, 8}))
 def test_unit_symbols_match_a_scan_of_the_units(d):
     assert residues._unit_symbols(d).tolist() == _unit_scan(d)
+
+
+def test_symbol_cache_keeps_only_the_last_few_discriminants():
+    # an array is about Q bytes: a process reading many D holds only a few
+    size = residues._SYMBOL_CACHE_SIZE
+    residues._unit_symbols.cache_clear()
+    try:
+        early = weakref.ref(residues._unit_symbols(5))
+        for d in (2, 3, 6, 7, 10, 11, 13, 14, 15)[: size + 1]:
+            residues._unit_symbols(d)
+        assert early() is None
+        assert residues._unit_symbols.cache_info().currsize == size
+    finally:
+        residues._unit_symbols.cache_clear()
 
 
 def test_both_signs_share_one_symbol_scan(monkeypatch):

@@ -340,6 +340,25 @@ def test_class_oracle_refuses_a_short_table_and_an_over_budget_modulus():
         sieve._class_oracle(q.build_spf_table(1000), 10**6, 10**5 + 1)
 
 
+def test_class_oracle_checks_prime_counts_before_classes():
+    # one need check, in the order the CLI refuses in: the prime counts'
+    # budget is over at 10^16 before the two class rows are
+    with pytest.raises(sieve.BudgetError, match="^prime counts to x = "):
+        sieve._class_oracle(q.build_spf_table(100), 10**16, 4)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda table: q.build_spf_table(10**8),
+    lambda table: q.count_almost_primes(table, 10**12, 1),
+    lambda table: sieve._class_oracle(table, 10**6, 99991),
+])
+def test_every_budget_refusal_is_a_budget_error(refused):
+    table = q.build_spf_table(1000)
+    with pytest.raises(sieve.BudgetError, match="exceeds the budget") as info:
+        refused(table)
+    assert isinstance(info.value, ValueError)
+
+
 @pytest.mark.parametrize("modulus", [1, 255, 256, 257, 65536, 65537, 10**5])
 def test_class_index_labels_every_residue(table, modulus):
     # labels are stored in the narrowest integer type that holds modulus - 1
@@ -412,7 +431,7 @@ def test_cache_length_is_checked_at_any_limit(tmp_path, edit):
 def test_cache_header_gives_the_limit_and_the_load_errors(tmp_path):
     _, path = _saved(tmp_path, 20000)
     assert sieve.spf_cache_limit(str(path)) == 20000
-    with pytest.raises(ValueError, match="exceeds the budget"):
+    with pytest.raises(sieve.BudgetError, match="exceeds the budget"):
         sieve.spf_cache_limit(str(path), max_entries=20000)
     with open(path, "r+b") as fh:
         fh.write(b"XXXX")
