@@ -4,6 +4,11 @@ Kronecker symbol, chinese remaindering over not-necessarily-coprime moduli,
 Euler's totient, and squarefree-kernel extraction. Everything here is pure
 Python integer arithmetic; inputs are checked against a 63-bit magnitude cap
 so the counting layers above stay inside their documented range.
+
+Euler's totient, the squarefree kernel and the prime divisors all read one
+factorization, _trial_factorize, memoised for the last few n (a bounded
+lru_cache), so a discriminant is factored once however many sign
+constraints, periods and oracles ask for it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ MAX_MAGNITUDE = 2**63
 # Trial factorization above this would be unreasonably slow; callers that
 # need larger inputs are outside the supported desk scale.
 _FACTOR_LIMIT = 10**12
+# _trial_factorize keeps this many n: a run asks again and again for the
+# factors of its few discriminants, their periods and its small moduli
+_FACTOR_CACHE_SIZE = 32
 
 
 class InconsistentSystem(ValueError):
@@ -93,8 +101,11 @@ def crt_combine(system: list[tuple[int, int]]) -> tuple[int, int]:
     return r, m
 
 
-def _trial_factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, ascending."""
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 by trial division, ascending. Each n
+    is factored once while it is among the last _FACTOR_CACHE_SIZE asked
+    for; a tuple, since every caller shares it."""
     if n > _FACTOR_LIMIT:
         raise ValueError(f"factorization supported only up to {_FACTOR_LIMIT}")
     factors = []
@@ -118,10 +129,9 @@ def _trial_factorize(n: int) -> list[tuple[int, int]]:
         step = 6 - step
     if n > 1:
         factors.append((n, 1))
-    return factors
+    return tuple(factors)
 
 
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient: number of units modulo n."""
     _check_magnitude(n)

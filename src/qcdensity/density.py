@@ -7,29 +7,35 @@ dividing D never match (their symbol is 0); p = 2 participates exactly when
 D is odd, since (D/2) = 0 for even D.
 
 Counting reads the one recorded walk of almostprime.py per (x, k, mode),
-its rows labelled by the signs of their leading primes, each evaluated as
-(D/p) once per prime: _sign_counts is its count table on _sign_oracle, a
-prime-count oracle for (x, D, odd_only), and a sign count is its entry for
-the leading signs eps[:-1] and the last sign eps[-1]. This module owns the
-one sign-label rule, _sign, and builds the oracle's counts from it: a
-prime is labelled +1 or -1 by the class B(+) or B(-) of p mod Q, that is
-by the real character chi mod Q, except that each prime dividing 2D takes
-(D/p) itself (p = 2 takes 0 when odd_only). So the oracle's counts come
-from pi(v) and one prime sum of chi (sieve._prime_sums), with the primes
-dividing 2D moved to their own label; they need the table's primes only up
-to isqrt(x). The unconstrained reference counts read the same rows,
-unlabelled, on the every-prime oracle. The residue-class rows of a
-cross-check are positional counts on the class oracle of sieve.py, whose
-counts come from class arithmetic alone, with no symbol and no chi: they
-check the sign rows by an independent route and need the table only up to
-isqrt(x), as the sign rows do, but their phi(Q) coupled rows face the
-class budget of sieve._oracle_need (a sieve.BudgetError over it). Their
-phi(Q)^k rows at one x are entries of one count table of the same walk,
-labelled by residue (almostprime._residue_counts). So a table costs one
-tuple walk per x, with or without the cross-check. Once an x's rows are made, density_table drops
-that x's oracles, walk and count tables from the table's memo, so a grid
-holds the entries of one x at a time. The CSV and JSON renderings read
-their columns from one list, _COLUMNS.
+its rows labelled by the signs of their leading primes, each evaluated
+as (D/p) once per prime: _sign_counts is its count table on
+_sign_oracle, a prime-count oracle for (x, D, odd_only), and a sign
+count is its entry for the leading signs eps[:-1] and the last sign
+eps[-1]. This module owns the one sign-label rule, _sign, and builds the
+oracle's counts from it: a prime is labelled +1 or -1 by the class B(+)
+or B(-) of p mod Q, that is by the real character chi mod Q, except that
+each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only).
+So the oracle's counts come from pi(v) and one prime sum of chi
+(sieve._prime_sums), with the primes dividing 2D moved to their own
+label; they need the table's primes only up to isqrt(x). The primes
+dividing 2D are 2 and the primes of D, so 2D is never factored, and D's
+factorization is the one memoised in arith.py. The unconstrained
+reference counts read the same rows, unlabelled, on the every-prime
+oracle. The residue-class rows of a cross-check are positional counts on
+the class oracle of sieve.py, whose counts come from class arithmetic
+alone, with no symbol and no chi: they check the sign rows by an
+independent route and need the table only up to isqrt(x), as the sign
+rows do, but their phi(Q) coupled rows face the class budget of
+sieve._oracle_need (a sieve.BudgetError over it). Their phi(Q)^k rows at
+one x are entries of one count table of the same walk, labelled by
+residue (almostprime._residue_counts). So a table costs one tuple walk
+per x, with or without the cross-check. density_table builds its 2^k
+sign constraints, Q, phi(Q)^k and the classes B(+) and B(-) once per
+call, then loops over x, sign tuple and residue box, each box row taking
+its reference count from its sign row. Once an x's rows are made, it
+drops that x's oracles, walk and count tables from the table's memo, so
+a grid holds the entries of one x at a time. The CSV and JSON renderings
+read their columns from one list, _COLUMNS.
 """
 
 from __future__ import annotations
@@ -126,7 +132,9 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
     chi_sums = _prime_sums(x, _oracle_primes(table, x), chi)
     grid = _grid_values(x)
     added = {1: 0, -1: 0}
-    for p in prime_divisors(2 * d):
+    # the primes dividing 2D, without factoring 2D, which may pass the
+    # factor limit where D does not
+    for p in {2, *prime_divisors(d)}:
         reached = grid >= p
         pi = pi - reached
         chi_sums -= int(chi[p % len(chi)]) * reached
@@ -246,38 +254,31 @@ def density_table(
         raise ValueError("empty x grid")
     if list(x_grid) != sorted(x_grid):
         raise ValueError("x grid must be ascending")
+    signs = itertools.product((1, -1), repeat=k)
+    constraints = [SignConstraint(d, eps) for eps in signs]
+    if cross_check:
+        q_mod = kronecker_period(d)
+        cells = euler_phi(q_mod) ** k
+        classes = {eps: residue_classes_direct(d, eps).classes for eps in (1, -1)}
     rows: list[DensityRow] = []
     for x in x_grid:
         total = 0
-        for eps in itertools.product((1, -1), repeat=k):
-            constraint = SignConstraint(d, eps)
+        for constraint in constraints:
             row = empirical_sign_density(table, x, k, constraint)
             rows.append(row)
             total += row.exact_count
-            if cross_check:
-                rows.extend(_residue_rows(table, x, k, constraint))
+            if not cross_check:
+                continue
+            for combo in itertools.product(*map(classes.get, constraint.epsilons)):
+                count = count_almost_primes_positional(table, x, k, combo, q_mod)
+                # semicolon between positions keeps the CSV at nine fields per row
+                label = "m=" + ";".join(map(str, combo)) + f" mod {q_mod}"
+                rows.append(_row(x, k, d, label, count, row.reference_count, cells))
         # every sign row carries the reference; counting the signs first
         # builds their oracle before the walk, not while its rows are held
         rows.append(_row(x, k, d, "sum", total, row.reference_count, 1))
         # no later row reads this x's oracles, walks or counts
         _forget(table, x)
-    return rows
-
-
-def _residue_rows(
-    table: SpfTable, x: int, k: int, constraint: SignConstraint
-) -> list[DensityRow]:
-    d = constraint.discriminant
-    per_position = [residue_classes_direct(d, e).classes for e in constraint.epsilons]
-    q_mod = kronecker_period(d)
-    cells = euler_phi(q_mod) ** k
-    reference = count_almost_primes(table, x, k, None, CountMode.SQUAREFREE)
-    rows = []
-    for combo in itertools.product(*per_position):
-        count = count_almost_primes_positional(table, x, k, combo, q_mod)
-        # semicolon between positions keeps the CSV at nine fields per row
-        label = "m=" + ";".join(str(m) for m in combo) + f" mod {q_mod}"
-        rows.append(_row(x, k, d, label, count, reference, cells))
     return rows
 
 

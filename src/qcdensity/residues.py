@@ -144,8 +144,6 @@ def residue_classes_constructive(d: int, epsilon: int) -> ResidueClassSet:
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     kernel = squarefree_kernel(d)
-    if kernel.is_perfect_square:
-        raise ValueError("d must not be a perfect square")
     q_total = _enumerable_period(d)
     has_two = 2 in kernel.odd_exponent_primes
     odd_primes = [p for p in kernel.odd_exponent_primes if p != 2]

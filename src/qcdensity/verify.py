@@ -303,13 +303,13 @@ def run_suite(table: SpfTable, suite: str, x_max: int = 2000) -> list[CheckResul
     if suite == "orthogonality":
         return check_orthogonality()
     if suite == "recursions":
-        return check_recursions(table, min(x_max, 10**4))
+        return check_recursions(table, x_max)
     if suite == "residues":
         return check_residues(table)
     if suite == "quadratic":
         return check_quadratic(table)
     if suite == "sandwich":
-        return check_sandwich(table, min(x_max, 2000))
+        return check_sandwich(table, x_max)
     raise ValueError(f"unknown suite {suite!r}")
 
 

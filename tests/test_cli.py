@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qcdensity
 from qcdensity import cli
+
+from factor_scan import FactorScan
 
 # the CLI under test is the package these tests import
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(qcdensity.__file__))
@@ -179,6 +182,39 @@ def test_verify_limit_is_a_minimum(monkeypatch, capsys, suite):
     assert ("9591 primes checked" if suite == "residues" else "<= 5000") in outputs[0]
 
 
+def test_verify_x_past_the_suites_reads_the_same_table(monkeypatch, capsys):
+    # no suite reads past 10^5, so --x 10^9 builds no larger table and
+    # prints what --x 10^4 prints
+    monkeypatch.delenv("QCD_SPF_CACHE", raising=False)
+    outputs = []
+    for x in ("10000", "1000000000"):
+        assert cli.main(["verify", "--suite", "all", "--x", x]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("109/109 checks passed\n")
+
+
+def test_table_past_the_factor_limit_of_2d(tmp_path):
+    # D = 2 * 707099^2 is under the trial-factor limit of 10^12 and 2D is
+    # over it: the sign labels need only D's primes
+    d = 2 * 707099**2
+    cache = tmp_path / "spf.bin"
+    proc = run_cli("table", "--x", "1000,100000", "--k", "2", "--disc", str(d),
+                   env_extra={"QCD_SPF_CACHE": str(cache)})
+    assert proc.returncode == 0, proc.stderr
+    table = qcdensity.build_spf_table(10**5)
+    scan = FactorScan(table.spf, 2)
+    signs = np.zeros(len(table.spf), dtype=np.int8)
+    signs[table.primes] = [qcdensity.kronecker(d, p) for p in table.primes_list]
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    counts = {(int(r[0]), r[3]): int(r[4]) for r in rows}
+    for x in (1000, 10**5):
+        for eps, expected in scan.sign_counts(x, 2, signs).items():
+            label = qcdensity.SignConstraint(d, eps).label()
+            assert counts[x, label] == expected, (x, label)
+    assert len(counts) == 10
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "classes.txt"
     proc = run_cli("residues", "--disc", "5", "--eps", "+", "--out", str(target))
@@ -255,7 +291,7 @@ def test_usage_error_acquires_no_table(args, tmp_path):
     # about x^(3/4) = 10^9 updates for the class oracle's prime counts
     ("count", "--x", "1000000000000", "--k", "1", "--mod", "4", "--classes", "1"),
     ("primes", "--limit", "200000000"),
-    ("verify", "--x", "200000000"),
+    ("verify", "--limit", "200000000"),
 ])
 def test_table_over_budget_exits_one(args):
     # the sieve or the oracle refuses before it allocates: a runtime limit,

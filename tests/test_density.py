@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, SignConstraint, almostprime, density, sieve
+from qcdensity import CountMode, SignConstraint, almostprime, arith, cli, density, sieve
 
 
 def test_sign_constraint_basics():
@@ -334,6 +334,30 @@ def test_verify_walks_no_tuples_twice():
     walks = _walks(lambda t: q.run_suite(t, "all", 10**4))
     assert walks
     assert len(walks) == len(set(walks))
+
+
+def test_table_factors_the_discriminant_once(monkeypatch, capsys):
+    """Every sign constraint, period and oracle of a table reads D's one
+    factorization. A profile hook notes each run of the factoring code."""
+    monkeypatch.delenv("QCD_SPF_CACHE", raising=False)
+    d = 2 * 499979**2
+    factorize = arith._trial_factorize
+    body = getattr(factorize, "__wrapped__", factorize).__code__
+    getattr(factorize, "cache_clear", lambda: None)()
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            runs.append(frame.f_locals["n"])
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["table", "--x", "1000,10000", "--k", "3", "--disc", str(d)])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 2 * 9
+    assert runs.count(d) == 1
 
 
 def test_density_table_drops_each_x_from_the_memo():
