@@ -34,8 +34,8 @@ from .almostprime import CountMode, ResidueConstraint, count_almost_primes
 from .arith import euler_phi
 from .density import (
     SignConstraint,
+    _density_rows,
     count_sign_constrained,
-    density_table,
     rows_to_csv,
     rows_to_json,
 )
@@ -222,15 +222,16 @@ def _cmd_table(args) -> int:
     start = time.monotonic()
     rows = []
     completed = 0
-    for x in grid:
+    # one setup for the whole grid; the budget is checked between points
+    for x_rows in _density_rows(table, grid, args.k, args.disc, args.cross_check):
+        rows.extend(x_rows)
+        completed += 1
         if (
             args.budget_seconds is not None
-            and completed > 0
+            and completed < len(grid)
             and time.monotonic() - start > args.budget_seconds
         ):
             break
-        rows.extend(density_table(table, [x], args.k, args.disc, args.cross_check))
-        completed += 1
     text = rows_to_json(rows) if args.format == "json" else rows_to_csv(rows)
     _emit(text, args.out)
     print(f"elapsed {time.monotonic() - start:.2f}s", file=sys.stderr)

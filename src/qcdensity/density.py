@@ -17,25 +17,27 @@ or B(-) of p mod Q, that is by the real character chi mod Q, except that
 each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only).
 So the oracle's counts come from pi(v) and one prime sum of chi
 (sieve._prime_sums), with the primes dividing 2D moved to their own
-label; they need the table's primes only up to isqrt(x). The primes
-dividing 2D are 2 and the primes of D, so 2D is never factored, and D's
-factorization is the one memoised in arith.py. The unconstrained
-reference counts read the same rows, unlabelled, on the every-prime
-oracle. The residue-class rows of a cross-check are positional counts on
-the class oracle of sieve.py, whose counts come from class arithmetic
-alone, with no symbol and no chi: they check the sign rows by an
-independent route and need the table only up to isqrt(x), as the sign
-rows do, but their phi(Q) coupled rows face the class budget of
-sieve._oracle_need (a sieve.BudgetError over it). Their phi(Q)^k rows at
-one x are entries of one count table of the same walk, labelled by
-residue (almostprime._residue_counts). So a table costs one tuple walk
-per x, with or without the cross-check. density_table builds its 2^k
-sign constraints, Q, phi(Q)^k and the classes B(+) and B(-) once per
-call, then loops over x, sign tuple and residue box, each box row taking
-its reference count from its sign row. Once an x's rows are made, it
-drops that x's oracles, walk and count tables from the table's memo, so
-a grid holds the entries of one x at a time. The CSV and JSON renderings
-read their columns from one list, _COLUMNS.
+label by their steps (sieve._prime_steps); they need the table's primes
+only up to isqrt(x). The primes dividing 2D are 2 and the primes of D,
+so 2D is never factored, and D's factorization is the one memoised in
+arith.py. The unconstrained reference counts read the same rows,
+unlabelled, on the every-prime oracle. The residue-class rows of a
+cross-check are positional counts on the class oracle of sieve.py, whose
+counts come from class arithmetic alone, with no symbol and no chi: they
+check the sign rows by an independent route and need the table only up
+to isqrt(x), as the sign rows do, but their phi(Q) coupled rows face the
+class budget of sieve._oracle_need (a sieve.BudgetError over it). Their
+phi(Q)^k rows at one x are entries of one count table of the same walk,
+labelled by residue (almostprime._residue_counts). So a table costs one
+tuple walk per x, with or without the cross-check. _density_rows builds
+the 2^k sign constraints, Q, phi(Q)^k and the classes B(+) and B(-)
+once, then loops over x, sign tuple and residue box, each box row taking
+its reference count from its sign row, and yields each x's rows:
+density_table lists them all, and the CLI's table reads them an x at a
+time, so it can stop between points. Once an x's rows are made, it drops
+that x's oracles, walk and count tables from the table's memo, so a grid
+holds the entries of one x at a time. The CSV and JSON renderings read
+their columns from one list, _COLUMNS.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ from .sieve import (
     SpfTable,
     _PrimeCountOracle,
     _forget,
-    _grid_values,
     _oracle_primes,
     _prime_count_grid,
+    _prime_steps,
     _prime_sums,
     _table_memo,
 )
@@ -130,20 +132,15 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
     chi = _unit_symbols(d)
     pi = _prime_count_grid(table, x)
     chi_sums = _prime_sums(x, _oracle_primes(table, x), chi)
-    grid = _grid_values(x)
-    added = {1: 0, -1: 0}
     # the primes dividing 2D, without factoring 2D, which may pass the
     # factor limit where D does not
-    for p in {2, *prime_divisors(d)}:
-        reached = grid >= p
-        pi = pi - reached
-        chi_sums -= int(chi[p % len(chi)]) * reached
-        label = _sign(d, p, odd_only)
-        if label:
-            added[label] += reached
-    return _PrimeCountOracle(
-        x, [((eps,), (pi + eps * chi_sums) // 2 + added[eps]) for eps in (1, -1)]
-    )
+    divisors = np.array(sorted({2, *prime_divisors(d)}), dtype=np.int64)
+    labels = np.array([_sign(d, p, odd_only) for p in divisors.tolist()])
+    steps = _prime_steps(x, divisors).astype(np.int64)
+    pi = pi - steps.sum(axis=1)
+    chi_sums -= steps @ chi[divisors % len(chi)]
+    signed = [(pi + eps * chi_sums) // 2 + steps @ (labels == eps) for eps in (1, -1)]
+    return _PrimeCountOracle(x, [((1,), signed[0]), ((-1,), signed[1])])
 
 
 @_table_memo
@@ -254,14 +251,22 @@ def density_table(
         raise ValueError("empty x grid")
     if list(x_grid) != sorted(x_grid):
         raise ValueError("x grid must be ascending")
+    rows = _density_rows(table, x_grid, k, d, cross_check)
+    return list(itertools.chain.from_iterable(rows))
+
+
+def _density_rows(table, x_grid, k, d, cross_check):
+    """density_table's rows, one list per x in x_grid, yielded as each x is
+    done: the sign constraints, Q, phi(Q)^k and the classes B(+-) are made
+    once, before the first x."""
     signs = itertools.product((1, -1), repeat=k)
     constraints = [SignConstraint(d, eps) for eps in signs]
     if cross_check:
         q_mod = kronecker_period(d)
         cells = euler_phi(q_mod) ** k
         classes = {eps: residue_classes_direct(d, eps).classes for eps in (1, -1)}
-    rows: list[DensityRow] = []
     for x in x_grid:
+        rows: list[DensityRow] = []
         total = 0
         for constraint in constraints:
             row = empirical_sign_density(table, x, k, constraint)
@@ -279,7 +284,7 @@ def density_table(
         rows.append(_row(x, k, d, "sum", total, row.reference_count, 1))
         # no later row reads this x's oracles, walks or counts
         _forget(table, x)
-    return rows
+        yield rows
 
 
 def _fmt(value: float | None) -> str:

@@ -11,17 +11,24 @@ _grid_values gives. Queries must have lo and hi on that grid, and hi may be
 as large as x; a query finds the grid positions of its bounds once and
 reads every column there. The caller builds the counts and decides what a
 label means.
-Lucy_Hedgehog's recurrence (_sieve_rows) runs on one row of sums or on R
-coupled rows, reading only the primes up to isqrt(x) (_oracle_primes). One
-row sums a periodic completely multiplicative f over the primes up to every
-grid value (_prime_sums): with f = 1 it gives pi(v) (_prime_count_grid),
-the counts of the one label None behind almostprime.py's unconstrained
-counts; density.py builds its sign labels from pi and one more sum. The
-phi(Q) rows of _class_sums count the primes in each unit class mod Q, each
-prime p moving class a * p^-1 into class a; _class_oracle keeps them as one
-block, labelled by class, and each prime dividing Q as a one-column block
-of its own class, for the residue-class counts: positional (the
-cross-check rows) and multiset (`count --classes`).
+Only this module knows that layout. Lucy_Hedgehog's recurrence
+(_sieve_rows) runs on one row of sums or on R coupled rows, reading only
+the primes up to isqrt(x) (_oracle_primes), and takes each prime's step as
+data: an array of signs f(p), and for coupled rows an array of row
+permutations, one per prime. One row sums a periodic completely
+multiplicative f over the primes up to every grid value (_prime_sums, its
+signs f[p % period]): with f = 1 it gives pi(v) (_prime_count_grid), the
+counts of the one label None behind almostprime.py's unconstrained counts;
+density.py builds its sign labels from pi and one more sum. The phi(Q)
+rows of _class_sums count the primes in each unit class mod Q, each prime
+p moving class a * p^-1 into class a (its signs the unit mask, its orders
+one permutation per distinct residue); _class_oracle keeps them as one
+block, labelled by class, and the primes dividing Q as one more block,
+one column of its own class each, for the residue-class counts:
+positional (the cross-check rows) and multiset (`count --classes`). That
+block is _prime_steps, whether v >= p at every grid value for a few given
+primes, which density.py also uses to move the primes dividing 2D out of
+its sums.
 The recurrence makes on the order of x^(3/4) updates per row; the steps of
 the primes above x^(1/3) commute, and run as one batch. _oracle_need is the
 one cost check of the prime sums, made before any is computed: it refuses
@@ -187,7 +194,17 @@ def _grid_values(x: int) -> np.ndarray:
     return np.concatenate((np.arange(r + 1), x // np.arange(1, r + 1)))
 
 
-def _sieve_rows(x: int, primes: np.ndarray, rows: np.ndarray, action) -> None:
+def _prime_steps(x: int, primes) -> np.ndarray:
+    """Whether v >= p, as bool, at every grid position (rows, laid out as
+    _grid_values) for each of the given primes (columns): the step each
+    prime adds to the count of the primes up to v, so that a caller can
+    move a few primes out of a prime sum, or count them on their own."""
+    return _grid_values(x)[:, None] >= np.asarray(primes, dtype=np.int64)
+
+
+def _sieve_rows(
+    x: int, primes: np.ndarray, rows: np.ndarray, signs: np.ndarray, orders=None
+) -> None:
     """Lucy_Hedgehog's recurrence, in place, on rows of sums laid out as
     _grid_values: one row (shape (n,)) or R coupled rows (shape (n, R),
     grid-major). rows starts as the sums of f(n) over 2 <= n <= v, for f
@@ -196,18 +213,23 @@ def _sieve_rows(x: int, primes: np.ndarray, rows: np.ndarray, action) -> None:
     v >= p^2, S as the smaller primes left it, leaving the sums of f(p) over
     the primes p <= v.
 
-    action(p) says how f(p) acts: None when f(p) = 0, else (sign, order).
-    One row takes sign * its term (f(p) = sign, +1 or -1); R rows take their
-    terms permuted, row j the term of row order[j] (f(p) a permutation of
-    the rows, sign +1). One row reads 1-D views, with no column gather.
-    The primes with p^3 > x go in one batch (_sieve_tail).
+    Each prime's step is data: signs[j] is f(primes[j]), 0 or +-1 for one
+    row, 0 or 1 for R rows, and orders[j] (R rows only) is the permutation
+    f(primes[j]) makes of the rows: row i takes the term of row
+    orders[j][i]. A prime of sign 0 takes no step. One row reads 1-D
+    views, with no column gather. The primes with p^3 > x, that is
+    p > x // p^2, go in one batch (_sieve_tail).
     """
     r = math.isqrt(x)
     # views: small[v] is the sum at v <= r, large[i] the sum at x // i (i >= 1)
     small, large = rows[: r + 1], rows[r:]
-    acting = [(p, act) for p in primes.tolist() if (act := action(p)) is not None]
-    head = [(p, act) for p, act in acting if p**3 <= x]
-    for p, (sign, order) in head:
+    tops = x // (primes * primes)
+    # p^3 <= x exactly when p <= x // p^2: a prefix of the ascending primes
+    head = int(np.count_nonzero(primes <= tops))
+    for j, (p, sign) in enumerate(zip(primes[:head].tolist(), signs[:head].tolist())):
+        if not sign:
+            continue
+        order = None if orders is None else orders[j]
         below = small[p - 1] if order is None else small[p - 1][order]
         top = min(r, x // (p * p))
         # S(x // (i p)) is large[i p] while i p <= r, and small[...] beyond
@@ -223,31 +245,31 @@ def _sieve_rows(x: int, primes: np.ndarray, rows: np.ndarray, action) -> None:
             term = _term(small[p : r // p + 1], below, order)
             term = np.repeat(term, p, axis=0)[: r + 1 - p * p]
             _take_out(small[p * p :], term, sign)
-    if len(head) < len(acting):
-        _sieve_tail(x, rows, acting[len(head) :])
+    # the primes past the head that take a step
+    tail = head + np.flatnonzero(signs[head:])
+    if len(tail):
+        orders = None if orders is None else orders[tail]
+        _sieve_tail(x, rows, primes[tail], tops[tail], signs[tail], orders)
 
 
-def _sieve_tail(x: int, rows: np.ndarray, tail: list) -> None:
+def _sieve_tail(
+    x: int, rows: np.ndarray, primes: np.ndarray, tops: np.ndarray, signs, orders
+) -> None:
     """The steps of _sieve_rows for the primes p with p^3 > x (ascending,
-    with their actions), all at once. Such a step updates only large[i] for
-    i <= x // p^2 < p. It reads small, which no prime above x^(1/4)
-    updates, and large[i p] with i p >= p, which no such step updates; so
-    the steps commute, and each reads the rows as the primes below x^(1/3)
-    left them. The terms go in chunks of consecutive primes of about
-    _TAIL_TERMS entries, ordered by target i, so one reduceat sums each
-    target's terms.
+    with their tops x // p^2, signs and orders), all at once. Such a step
+    updates only large[i] for i <= x // p^2 < p. It reads small, which no
+    prime above x^(1/4) updates, and large[i p] with i p >= p, which no such
+    step updates; so the steps commute, and each reads the rows as the
+    primes below x^(1/3) left them. The terms go in chunks of consecutive
+    primes of about _TAIL_TERMS entries, ordered by target i, so one
+    reduceat sums each target's terms.
     """
     r = math.isqrt(x)
     small, large = rows[: r + 1], rows[r:]
-    primes = np.array([p for p, _ in tail], dtype=np.int64)
-    signs = np.array([sign for _, (sign, _) in tail], dtype=np.int64)
-    if rows.ndim == 2:
-        orders = np.array([order for _, (_, order) in tail])
-    tops = x // (primes * primes)
     per_chunk = max(_TAIL_TERMS // (rows.size // len(rows)), 1)
     total = np.cumsum(tops)
     cuts = np.searchsorted(total, np.arange(per_chunk, total[-1], per_chunk), "right")
-    bounds = sorted({0, *cuts.tolist(), len(tail)})
+    bounds = sorted({0, *cuts.tolist(), len(primes)})
     for a, b in zip(bounds, bounds[1:]):
         top = int(tops[a])
         # terms[i - 1]: the primes of the chunk whose step updates large[i]
@@ -259,7 +281,7 @@ def _sieve_tail(x: int, rows: np.ndarray, tail: list) -> None:
         ip = i * p
         # positions in rows: large[i p] is rows[r + i p]
         at = np.where(ip <= r, r + ip, x // ip)
-        if rows.ndim == 1:
+        if orders is None:
             term = rows.take(at) - small.take(p - 1)
             term *= signs[j]
         else:
@@ -295,13 +317,7 @@ def _prime_sums(x: int, primes: np.ndarray, f: np.ndarray) -> np.ndarray:
     # sum of f(n) over 2 <= n <= v
     sums = (grid // period) * per_period + cumulative[grid % period] - f[1 % period]
     sums[:2] = 0
-    signs = f.tolist()
-
-    def action(p):
-        sign = signs[p % period]
-        return (sign, None) if sign else None
-
-    _sieve_rows(x, primes, sums, action)
+    _sieve_rows(x, primes, sums, f[primes % period])
     return sums
 
 
@@ -316,6 +332,20 @@ def _class_sums(x: int, primes: np.ndarray, modulus: int) -> tuple[list, np.ndar
     units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
     column = np.full(modulus, -1, dtype=np.int64)
     column[units] = np.arange(len(units))
+    # the steps go before the start sums: made after them, they raised the
+    # peak RSS of criterion 12 by 3-5 MiB (heap layout, not data)
+    residues = primes % modulus
+    unit = column[residues] >= 0
+    orders = None
+    if len(units) > 1:
+        # one permutation per distinct unit residue a: row j takes the term
+        # of class units[j] * a^-1
+        keys, at = np.unique(residues[unit], return_inverse=True)
+        unit_array = np.array(units, dtype=np.int64)
+        inverses = [pow(a, -1, modulus) for a in keys.tolist()]
+        perms = [column[unit_array * a % modulus] for a in inverses]
+        orders = np.zeros((len(primes), len(units)), dtype=np.int64)
+        orders[unit] = np.reshape(perms, (-1, len(units)))[at]
     grid = _grid_values(x)
     # the n in 1..v with n = a: a, a + modulus, ... (modulus itself for a = 0)
     first = np.array([a or modulus for a in units], dtype=np.int64)
@@ -324,23 +354,8 @@ def _class_sums(x: int, primes: np.ndarray, modulus: int) -> tuple[list, np.ndar
     sums += 1
     # n = 1 is not a prime
     sums[:, column[1 % modulus]] -= grid >= 1
-    unit_array = np.array(units, dtype=np.int64)
-    one_row = len(units) == 1
-    orders: dict = {}
-
-    def action(p):
-        if modulus % p == 0:
-            return None
-        if one_row:
-            # the one order is the identity
-            return 1, None
-        key = p % modulus
-        if key not in orders:
-            orders[key] = column[unit_array * pow(key, -1, modulus) % modulus]
-        return 1, orders[key]
-
-    # one row reads 1-D views
-    _sieve_rows(x, primes, sums[:, 0] if one_row else sums, action)
+    # one row reads 1-D views; its one order is the identity
+    _sieve_rows(x, primes, sums if orders is not None else sums[:, 0], unit, orders)
     return units, sums
 
 
@@ -443,17 +458,13 @@ def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     """Counts of the primes p = a (mod modulus) at every v in {x // m}, one
     label a per class: the unit classes from _class_sums, and each prime
     dividing modulus under its own class, which holds no other prime: the
-    phi(modulus) columns of _class_sums are one block, and each prime
-    dividing modulus one more."""
+    phi(modulus) columns of _class_sums are one block, and the steps of the
+    primes dividing modulus (_prime_steps) one more."""
     units, sums = _class_sums(x, _oracle_primes(table, x, modulus), modulus)
     sums.setflags(write=False)
-    grid = _grid_values(x)
     divisors = prime_divisors(modulus) if modulus > 1 else ()
-    return _PrimeCountOracle(
-        x,
-        [(units, sums)]
-        + [((p % modulus,), (grid >= p).astype(np.int64)) for p in divisors],
-    )
+    labels = [p % modulus for p in divisors]
+    return _PrimeCountOracle(x, [(units, sums), (labels, _prime_steps(x, divisors))])
 
 
 def _fixed_points(spf: np.ndarray) -> np.ndarray:

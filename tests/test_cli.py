@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import qcdensity
-from qcdensity import cli
+from qcdensity import cli, density
+from qcdensity.residues import residue_classes_direct
 
 from factor_scan import FactorScan
 
@@ -151,6 +152,25 @@ def test_table_budget_gives_partial_output_and_exit_one():
     assert lines[0].startswith("x,k,D,")
     assert len(lines) == 6  # header plus the completed x=1000 block only
     assert all(line.startswith("1000,") for line in lines[1:])
+
+
+def test_table_sets_up_once_for_the_whole_grid(monkeypatch, capsys):
+    # the sign constraints, Q and the classes B(+) and B(-) are made once per
+    # command, not once per x, and the rows are density_table's
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return residue_classes_direct(*args)
+
+    monkeypatch.setattr(density, "residue_classes_direct", spy)
+    grid = [1000, 10000, 100000]
+    argv = ["table", "--x", ",".join(map(str, grid)), "--k", "2", "--disc", "5"]
+    assert cli.main([*argv, "--cross-check"]) == 0
+    assert sorted(calls) == [(5, -1), (5, 1)]
+    rows = density.density_table(qcdensity.build_spf_table(1000), grid, 2, 5, True)
+    assert capsys.readouterr().out == density.rows_to_csv(rows)
 
 
 def test_verify_suite_exit_zero():

@@ -1,20 +1,28 @@
-"""Sign-tuple and unconstrained counts to 10^6 against the factorization
-scan of factor_scan.py, which shares only the SPF sieve with the counting
-code."""
+"""Sign-tuple, residue-class and unconstrained counts to 10^7 against the
+factorization scan of factor_scan.py, which shares only the SPF sieve with
+the counting code."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, SignConstraint
+from qcdensity import CountMode, ResidueConstraint, SignConstraint
 
-from factor_scan import FactorScan, euler_signs
+from factor_scan import FactorScan, euler_signs, scan_blocks, sign_digits, tuple_counts
 
 LIMIT = 10**6
 X_GRID = (1000, LIMIT)
 K_MAX = 3
+# the block scan's x, its discriminants and its class modulus
+BIG = 10**7
+BIG_DISCRIMINANTS = (5, -4, 8, 13)
+MODULUS = 20
+# the squarefree k-almost-primes up to 10^7, the references the benchmark's
+# table workloads check their reports against
+SQUAREFREE_AT_BIG = {2: 1903878, 3: 2086746}
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +32,11 @@ def scanned():
 
 
 def test_euler_signs_agree_with_kronecker():
-    spf = q.build_spf_table(2000).spf
+    table = q.build_spf_table(2000)
     for d in (5, -4, 8, 13, -20, 999977991602):
-        signs = euler_signs(d, spf)
+        signs = euler_signs(d, table.primes, 2001)
         for p in range(2, 2001):
-            expected = q.kronecker(d, p) if spf[p] == p else 0
+            expected = q.kronecker(d, p) if table.spf[p] == p else 0
             assert signs[p] == expected, (d, p)
 
 
@@ -36,11 +44,9 @@ def test_euler_signs_agree_with_kronecker():
 @pytest.mark.parametrize("d", [5, -4, 8, 13, 999977991602])
 def test_every_sign_tuple_matches_the_scan(scanned, d):
     table, scan = scanned
-    signs = euler_signs(d, table.spf)
-    odd_signs = signs.copy()
-    odd_signs[2] = 0
+    signs = euler_signs(d, table.primes, LIMIT + 1)
     for k, odd_only, x in itertools.product(range(1, K_MAX + 1), (False, True), X_GRID):
-        expected = scan.sign_counts(x, k, odd_signs if odd_only else signs)
+        expected = scan.sign_counts(x, k, signs, odd_only)
         for eps, count in expected.items():
             constraint = SignConstraint(d, eps)
             actual = q.count_sign_constrained(
@@ -69,3 +75,81 @@ def test_scan_factors_small_n_as_factorize_does():
         padded = (primes + [0] * K_MAX)[:K_MAX]
         assert scan.leading[:, n].tolist() == padded, n
     assert not np.any(scan.big_omega[:2])
+
+
+@pytest.fixture(scope="module")
+def scanned_big():
+    """The table to 10^7 and, from one block scan of it, every count the
+    comparisons at 10^7 read: unconstrained counts by (k, squarefree); sign
+    tuple counts by (D, odd_only, k), indexed by the codes of tuple_counts;
+    and the positional residue tuples mod MODULUS by k, as codes too."""
+    table = q.build_spf_table(BIG)
+    labels = {
+        d: sign_digits(euler_signs(d, table.primes, BIG + 1)) for d in BIG_DISCRIMINANTS
+    }
+    counts = collections.defaultdict(int)
+    for scan in scan_blocks(table.spf, K_MAX, BIG + 1):
+        for k in range(1, K_MAX + 1):
+            counts["all", k, False] += scan.almost_prime_count(BIG, k, False)
+            tuples = scan.tuples(BIG, k)
+            counts["all", k, True] += tuples.shape[1]
+            counts["mod", k] += tuple_counts(tuples % MODULUS, MODULUS)
+            # odd_only drops the even n, the tuples that start at 2
+            by_parity = {False: tuples, True: tuples[:, tuples[0] != 2]}
+            for d, odd_only in itertools.product(BIG_DISCRIMINANTS, (False, True)):
+                digits = labels[d][by_parity[odd_only]]
+                counts["signs", d, odd_only, k] += tuple_counts(digits, 2)
+    return table, counts
+
+
+def test_the_scan_at_ten_million_gives_the_pinned_squarefree_counts(scanned_big):
+    table, counts = scanned_big
+    for k, expected in SQUAREFREE_AT_BIG.items():
+        assert counts["all", k, True] == expected
+        assert q.count_almost_primes(table, BIG, k) == expected
+
+
+@pytest.mark.parametrize("d", BIG_DISCRIMINANTS)
+def test_every_sign_tuple_at_ten_million_matches_the_scan(scanned_big, d):
+    table, counts = scanned_big
+    for k, odd_only in itertools.product(range(1, K_MAX + 1), (False, True)):
+        expected = counts["signs", d, odd_only, k].tolist()
+        signs = itertools.product((1, -1), repeat=k)
+        actual = [
+            q.count_sign_constrained(
+                table, BIG, k, SignConstraint(d, eps), CountMode.SQUAREFREE, odd_only
+            )
+            for eps in signs
+        ]
+        assert actual == expected, (k, odd_only)
+
+
+@pytest.mark.parametrize("mode", list(CountMode))
+def test_unconstrained_counts_at_ten_million_match_the_scan(scanned_big, mode):
+    table, counts = scanned_big
+    squarefree = mode is CountMode.SQUAREFREE
+    for k in range(1, K_MAX + 1):
+        expected = counts["all", k, squarefree]
+        assert q.count_almost_primes(table, BIG, k, None, mode) == expected, k
+
+
+def test_every_residue_tuple_at_ten_million_matches_the_scan(scanned_big):
+    # every positional tuple mod 20, and every multiset of units, whose
+    # count sums the positional counts of its arrangements
+    table, counts = scanned_big
+    units = [a for a in range(MODULUS) if np.gcd(a, MODULUS) == 1]
+    for k in range(1, K_MAX + 1):
+        tuples = list(itertools.product(range(MODULUS), repeat=k))
+        expected = counts["mod", k].tolist()
+        actual = [
+            q.count_almost_primes_positional(table, BIG, k, combo, MODULUS)
+            for combo in tuples
+        ]
+        assert actual == expected, k
+        by_multiset = collections.defaultdict(int)
+        for combo, count in zip(tuples, expected):
+            by_multiset[tuple(sorted(combo))] += count
+        for multiset in itertools.combinations_with_replacement(units, k):
+            constraint = ResidueConstraint(MODULUS, multiset)
+            got = q.count_almost_primes(table, BIG, k, constraint)
+            assert got == by_multiset[multiset], multiset

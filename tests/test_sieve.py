@@ -279,7 +279,9 @@ def test_oracle_range_counts_match_the_class_index(table, x):
     assert oracle.count_ranges(empty, empty)[column] == 0
 
 
-@pytest.mark.parametrize("x", [10**6 + 3, 3 * 10**6, 5 * 10**6])
+# 97 is prime: at 97^3 its step is the last of the head, one below it the
+# first of the batch of the primes above x^(1/3)
+@pytest.mark.parametrize("x", [97**3 - 1, 97**3, 10**6 + 3, 3 * 10**6, 5 * 10**6])
 @pytest.mark.parametrize("d", [1, 5, -4, 13])
 def test_prime_sums_match_direct_sums_over_the_primes(big_table, x, d):
     # pi (d = 1) and the chi sums of density.py's sign oracle, at every grid
@@ -294,7 +296,8 @@ def test_prime_sums_match_direct_sums_over_the_primes(big_table, x, d):
     assert (got == expected).all()
 
 
-_CLASS_MODULI = (1, 3, 4, 5, 8, 12, 20, 24)
+# 2 and 6 have one and two unit classes, and a prime dividing them
+_CLASS_MODULI = (1, 2, 3, 4, 5, 6, 8, 12, 20, 24)
 
 
 def _check_class_oracle(table, x, modulus):
