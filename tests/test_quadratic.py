@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qcdensity as q
 from qcdensity import FactoredInteger, QuadraticForm
+from qcdensity.quadratic import _root_counts
 
 FORMS = (
     QuadraticForm(1, -1),
@@ -108,3 +110,55 @@ def test_bruteforce_modulus_cap():
     q.count_roots_bruteforce(QuadraticForm(0, -5), 10**6)
     with pytest.raises(ValueError):
         q.count_roots_bruteforce(QuadraticForm(0, -5), 10**6 + 1)
+
+
+def _scan(b, c, n):
+    return sum(1 for x in range(n) if (x * x + b * x + c) % n == 0)
+
+
+# the whole range QuadraticForm accepts; small (int32) and middling (int64)
+# values are drawn often too
+_COEFFICIENT = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**63 - 1), 2**63 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COEFFICIENT, _COEFFICIENT, st.integers(1, 2000))
+def test_scan_counts_exactly_or_refuses(b, c, n):
+    form = QuadraticForm(b, c)
+    values = [x * x + b * x + c for x in range(n)]
+    want = sum(1 for v in values if v % n == 0)
+    assert q.count_roots_bruteforce(form, n) == want
+    # unreduced, the kernel counts exactly or refuses: it must refuse values
+    # int64 cannot hold, and must count every form whose values are far
+    # inside that range
+    if max(abs(v) for v in values) >= 2**63:
+        with pytest.raises(ValueError):
+            _root_counts(form, [n])
+    elif n * n * (1 + abs(b) + abs(c)) < 2**63:
+        assert _root_counts(form, [n]) == [want]
+    else:
+        try:
+            assert _root_counts(form, [n]) == [want]
+        except ValueError:
+            pass
+
+
+def test_scan_batch_matches_each_modulus():
+    moduli = [1, 2, 3, 35, 209, 997, 1000, 77]
+    for form in (*FORMS, QuadraticForm(-7, 2**40), QuadraticForm(2**20, -(2**30))):
+        want = [q.count_roots_bruteforce(form, n) for n in moduli]
+        assert _root_counts(form, moduli) == want
+
+
+def test_scan_near_the_int64_edge():
+    # f(2) = 2^62 + 3 is exact in int64; with b = 2^62 it would be 2^63 + 4
+    form = QuadraticForm(2**61, -1)
+    assert _root_counts(form, [3]) == [_scan(form.b, form.c, 3)]
+    with pytest.raises(ValueError):
+        _root_counts(QuadraticForm(2**62, 0), [3])
+    with pytest.raises(ValueError):
+        _root_counts(QuadraticForm(0, -5), [0])

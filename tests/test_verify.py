@@ -2,11 +2,19 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import qcdensity as q
 from qcdensity import verify
-from qcdensity.verify import SUITES, check_recursions, format_report
+from qcdensity.residues import ResidueClassSet
+from qcdensity.verify import (
+    RESIDUE_DISCRIMINANTS,
+    SUITES,
+    _legendre_symbols,
+    check_recursions,
+    format_report,
+)
 
 
 def test_suite_names():
@@ -93,3 +101,65 @@ def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
     assert [r.name for r in results if not r.passed] == ["D=5"]
     assert results[0].detail.startswith("count mismatch at n=101: ")
     assert [r.detail for r in results[1:]] == expected[1:]
+
+
+def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch):
+    """A scan off by one at n = 15 fails exactly the forms whose moduli
+    include 15 (D = 13 and D = -7), each at n = 15."""
+    expected = [r.detail for r in verify.check_quadratic(table, 500)]
+    root_counts = verify._root_counts
+
+    def off_at_15(form, moduli):
+        counts = root_counts(form, moduli)
+        return [c + (n == 15) for n, c in zip(moduli, counts)]
+
+    monkeypatch.setattr(verify, "_root_counts", off_at_15)
+    results = verify.check_quadratic(table, 500)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["D=13", "D=-7"]
+    n15 = q.factorize(table, 15)
+    for form, result, want in zip(verify.QUADRATIC_FORMS, results, expected):
+        if result.passed:
+            assert result.detail == want
+        else:
+            formula = q.count_roots_formula(form, n15)
+            assert result.detail == f"count mismatch at n=15: {formula} != {formula + 1}"
+
+
+@pytest.mark.parametrize("d", RESIDUE_DISCRIMINANTS)
+def test_euler_criterion_matches_kronecker(small_table, d):
+    primes = np.array([p for p in small_table.primes_list if p != 2], dtype=np.int64)
+    symbols = _legendre_symbols(d, primes)
+    assert symbols.tolist() == [q.kronecker(d, p) for p in primes.tolist()]
+
+
+def test_residues_catch_swapped_unit_classes(table, monkeypatch):
+    """One class moved from B(+) to B(-) and one back keeps sizes, overlap
+    and coverage right and both constructions agreeing; only periodicity,
+    checked against Euler's criterion, can see it, at the smallest prime in
+    either swapped class."""
+    d = 13
+    plus = q.residue_classes_direct(d, 1)
+    minus = q.residue_classes_direct(d, -1)
+    a, b = plus.classes[-1], minus.classes[-1]
+    swapped = {
+        1: tuple(sorted(set(plus.classes) - {a} | {b})),
+        -1: tuple(sorted(set(minus.classes) - {b} | {a})),
+    }
+
+    def swapping(construct):
+        def patched(disc, eps):
+            classes = construct(disc, eps)
+            if disc != d:
+                return classes
+            return ResidueClassSet(disc, classes.modulus, eps, swapped[eps])
+
+        return patched
+
+    for name in ("residue_classes_direct", "residue_classes_constructive"):
+        monkeypatch.setattr(verify, name, swapping(getattr(verify, name)))
+    expected = next(p for p in table.primes_list if p % plus.modulus in (a, b))
+    results = verify.check_residues(table)
+    assert [r.name for r in results if not r.passed] == [f"D={d}"]
+    failed = next(r for r in results if not r.passed)
+    assert failed.detail == f"periodicity fails at p={expected}"
