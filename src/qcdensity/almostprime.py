@@ -34,11 +34,13 @@ last position reaches _coverage_need(x, k) = x / 2^(k-1), so they need
 every prime up to there, and each checks it before it reads the rows.
 
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
-loop over the rows in enumeration order. _ordered_stats weights each
-sorted tuple by its number of distinct orderings (k! over the factorials
-of its prime multiplicities), read off the runs of the leading primes.
-Counts and sums that are asked for again are memoised in the table's memo
-dict as well.
+loop over the rows in enumeration order. _ordered_stats visits only the
+rows whose sorted leading residues fit its multiset, looked up in one
+grouping of the rows per (x, k, modulus) (_leading_classes), and weights
+each sorted tuple by its number of distinct orderings (k! over the
+factorials of its prime multiplicities), read off the runs of the leading
+primes. Counts and sums that are asked for again are memoised in the
+table's memo dict as well.
 """
 
 from __future__ import annotations
@@ -316,6 +318,19 @@ def count_almost_primes_positional(
 
 
 @_table_memo
+def _leading_classes(table: SpfTable, x: int, k: int, modulus: int) -> dict:
+    """The rows of _tuple_rows(table, x, k, False) grouped by the sorted
+    residues mod modulus of their leading primes: {sorted residues: row
+    indices, ascending}. Every residue multiset of _ordered_stats at (x, k,
+    modulus) reads it."""
+    leading, _, _ = _tuple_rows(table, x, k, False)
+    groups: dict = {}
+    for i, key in enumerate(np.sort(leading % modulus, axis=1).tolist()):
+        groups.setdefault(tuple(key), []).append(i)
+    return groups
+
+
+@_table_memo
 def _ordered_stats(
     table: SpfTable,
     x: int,
@@ -327,24 +342,29 @@ def _ordered_stats(
     with product <= x whose residue multiset matches `residues`.
 
     Each sorted tuple counts k! / prod(run length!) times, its runs those
-    of the leading primes of its row, and the last prime's.
+    of the leading primes of its row, and the last prime's. The rows that
+    match are looked up in _leading_classes, so only they are visited.
     """
     _check_coverage(table, x, k)
     cidx = table.class_index(modulus)
     leading, los, his = _tuple_rows(table, x, k, False)
-    k_fact, fact = math.factorial(k), math.factorial
+    groups = _leading_classes(table, x, k, modulus)
     # a row matches when its sorted leading residues are the multiset less
     # one class v, which the last prime then takes
-    reductions = {_remove_one(residues, v): v for v in set(residues)}
+    matched = sorted(
+        (i, v)
+        for v in set(residues)
+        for i in groups.get(_remove_one(residues, v), ())
+    )
+    k_fact, fact = math.factorial(k), math.factorial
     count = 0
     # the float sums accumulate here, in enumeration order, so they round
     # as one running total would; per-level subtotals would move the last
     # bits of the residuals that verify prints
     log_sum = recip_sum = 0.0
-    for lead, lo, hi in zip(leading.tolist(), los.tolist(), his.tolist()):
-        v = reductions.get(tuple(sorted(p % modulus for p in lead)))
-        if v is None:
-            continue
+    for i, v in matched:
+        lead = leading[i].tolist()
+        lo, hi = int(los[i]), int(his[i])
         prod = math.prod(lead)
         # lead is sorted, so a prime's count in it is the length of its run
         weight = k_fact // math.prod(fact(lead.count(p)) for p in set(lead))
@@ -544,28 +564,34 @@ def recursion_residual(
 
     # the right-hand side at x/p depends on p only through floor(x/p) and
     # the reduced multiset (and, for the error term, the exact x/p, applied
-    # here); the same float terms as tuple_sums gives are added in p order
-    rhs = 0.0
-    terms = {}
-    phi_k, phi_k1 = phi**k, phi ** (k - 1)
-    upto = int(prime_count(table, xf))
-    for p in table.primes_list[:upto]:
-        reduced = reductions.get(p % n_mod)
-        if reduced is None:
-            continue
-        xp = x / p
-        key = (math.floor(xp), reduced)
-        term = terms.get(key)
-        if term is None:
-            term = _recursion_term(table, identity, key[0], k, n_mod, reduced)
-            terms[key] = term
-        if identity == "log_sum":
-            rhs += term
-        elif identity == "reciprocal_sum":
-            rhs += term / p
-        else:
-            logs, reduced_recips = term
-            rhs += phi_k * logs - xp * k * phi_k1 * reduced_recips
+    # here): the primes are grouped by (floor(x/p), class), each group's
+    # term is evaluated once, and the same float parts as tuple_sums gives
+    # are added left to right in p order by np.add.accumulate (np.add.reduce
+    # sums pairwise and builtin sum, from Python 3.12, compensated: either
+    # would move the last bits of the residuals that verify prints)
+    primes = table.primes[: prime_count(table, xf)]
+    classes = primes % n_mod
+    in_multiset = np.zeros(n_mod, dtype=bool)
+    in_multiset[list(reductions)] = True
+    keep = in_multiset[classes]
+    primes, classes = primes[keep], classes[keep]
+    xp = x / primes
+    floors = np.floor(xp).astype(np.int64)
+    keys, inverse = np.unique(floors * n_mod + classes, return_inverse=True)
+    key_floors, key_classes = divmod(keys, n_mod)
+    terms = [
+        _recursion_term(table, identity, xq, k, n_mod, reductions[v])
+        for xq, v in zip(key_floors.tolist(), key_classes.tolist())
+    ]
+    if identity == "error_term":
+        logs, reduced_recips = np.array(terms, dtype=np.float64).reshape(-1, 2).T
+        phi_k, phi_k1 = phi**k, phi ** (k - 1)
+        parts = phi_k * logs[inverse] - xp * k * phi_k1 * reduced_recips[inverse]
+    else:
+        parts = np.array(terms, dtype=np.float64)[inverse]
+        if identity == "reciprocal_sum":
+            parts /= primes
+    rhs = float(np.add.accumulate(parts)[-1]) if parts.size else 0.0
     if identity == "log_sum":
         rhs *= k + 1
     elif identity == "error_term":

@@ -175,14 +175,14 @@ class _ClassIndex:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
         i0, i1 = self._groups.get(label, (0, 0))
         seg = self._primes[i0:i1]
-        j0 = i0 + int(np.searchsorted(seg, lo, side="right"))
-        j1 = i0 + int(np.searchsorted(seg, hi, side="right"))
+        j0 = i0 + int(seg.searchsorted(lo, side="right"))
+        j1 = i0 + int(seg.searchsorted(hi, side="right"))
         if j1 <= j0:
             return 0, 0.0, 0.0
         return (
             j1 - j0,
-            float(np.sum(self._logs[j0:j1])),
-            float(np.sum(self._recips[j0:j1])),
+            float(np.add.reduce(self._logs[j0:j1])),
+            float(np.add.reduce(self._recips[j0:j1])),
         )
 
 

@@ -5,12 +5,22 @@ compares exactly (or within the stated float tolerance). One CheckResult is
 emitted per family; when a family fails, the detail line carries the first
 counterexample found.
 
-The residues suite reads (D/p) from Euler's criterion, d^((p-1)/2) mod p,
-computed for every prime at once in numpy, so the symbol it checks the class
-sets against shares no code with kronecker. The quadratic suite scans each
-form's roots with one evaluation of f(x) for all of its moduli
-(quadratic._root_counts) and compares them with the formula modulus by
-modulus.
+Where the symbols come from: the residues suite reads (D/p) from Euler's
+criterion, d^((p-1)/2) mod p, computed for every prime at once in numpy, so
+the symbol it checks the class sets against shares no code with kronecker.
+The quadratic suite's formula reads (D/p) from kronecker, once per (D, p),
+through quadratic._symbol's bounded cache; its scan counts each form's
+roots with one evaluation of f(x) for all of its moduli
+(quadratic._root_counts) and one floor division per modulus, and the two
+are compared modulus by modulus.
+
+The orthogonality errors and the recursion residuals printed here are
+rounding noise, pinned byte for byte (qcbench/pins.json and the tests), so
+each float is summed from the same operands in the same order as the plain
+definition: one np.vdot per unit pair, not a Gram matrix, whose matmul sums
+in another order; and, in almostprime.recursion_residual, a left-to-right
+np.add.accumulate, not builtin sum, which is compensated from Python 3.12
+on.
 """
 
 from __future__ import annotations
@@ -75,20 +85,28 @@ def _units(modulus: int) -> list[int]:
 
 def check_orthogonality(max_modulus: int = 60) -> list[CheckResult]:
     """Sum over characters of conj(chi(m)) chi(n) against phi(N) [m == n],
-    for every modulus up to max_modulus and every unit pair."""
+    for every modulus up to max_modulus and every unit pair.
+
+    Each pair's sum is one np.vdot of two columns of the unit-value matrix,
+    as orthogonality_sum takes it, never a Gram matrix (see above); a
+    non-unit second argument goes through orthogonality_sum itself."""
     results = []
     for n_mod in range(1, max_modulus + 1):
         group = build_character_group(n_mod)
         phi = group.group_order
-        units = _units(n_mod)
+        matrix, units = group.unit_value_matrix()
+        columns = list(matrix.T)
         worst = 0.0
         bad = None
-        for m in units:
-            for n in units:
-                expected = phi if m == n else 0
-                err = abs(orthogonality_sum(group, m, n) - expected)
-                if err > worst:
-                    worst, bad = err, (m, n)
+        for i, (m, col_m) in enumerate(zip(units, columns)):
+            sums = [complex(np.vdot(col_m, col_n)) for col_n in columns]
+            sums[i] -= phi
+            errors = [abs(s) for s in sums]
+            # the first pair of the row at its largest error, as a scan
+            # that keeps only strictly larger errors would report
+            err = max(errors)
+            if err > worst:
+                worst, bad = err, (m, units[errors.index(err)])
             if n_mod > 1:
                 # non-unit second argument must give exactly 0
                 err = abs(orthogonality_sum(group, m, 0))
@@ -207,7 +225,9 @@ def check_residues(table: SpfTable) -> list[CheckResult]:
 def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
     modulus coprime to the discriminant, plus the full-root-count flag.
-    Each form's scan evaluates f(x) once, for all of its moduli."""
+    Each form's scan evaluates f(x) once, for all of its moduli; the
+    formula and the flag of every modulus read one cached (D/p) per
+    prime."""
     n_max = min(n_max, table.limit)
     # each odd squarefree modulus is factored once, for every form
     squarefree = [
@@ -217,7 +237,7 @@ def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     results = []
     for form in QUADRATIC_FORMS:
         d = form.discriminant
-        moduli = [fi for fi in squarefree if all(d % p for p, _ in fi.factors)]
+        moduli = [fi for fi in squarefree if math.gcd(d, fi.n) == 1]
         counts = _root_counts(form, [fi.n for fi in moduli])
         problem = None
         for fi, brute in zip(moduli, counts):
@@ -233,32 +253,41 @@ def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     return results
 
 
-def _prime_factor_counts(table: SpfTable, x_max: int) -> tuple[bytearray, bytearray]:
+def _prime_factor_counts(
+    table: SpfTable, x_max: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct and the with-multiplicity prime factor counts of every
-    n <= x_max, indexed by n, by direct factorization."""
-    omega, big_omega = bytearray(x_max + 1), bytearray(x_max + 1)
-    for n in range(2, x_max + 1):
-        factors = factorize(table, n).factors
-        omega[n] = len(factors)
-        big_omega[n] = sum(e for _, e in factors)
+    n <= x_max, indexed by n, by direct factorization: the smallest prime
+    factor of the table is divided out of every n at once until 1 is left;
+    the primes come out in ascending order, so a new prime differs from the
+    one before."""
+    rest = np.arange(x_max + 1)
+    rest[:2] = 1
+    omega = np.zeros(x_max + 1, dtype=np.int64)
+    big_omega = np.zeros(x_max + 1, dtype=np.int64)
+    previous = np.zeros(x_max + 1, dtype=np.int64)
+    while (left := np.flatnonzero(rest > 1)).size:
+        p = table.spf[rest[left]].astype(np.int64)
+        big_omega[left] += 1
+        omega[left] += p != previous[left]
+        previous[left] = p
+        rest[left] //= p
     return omega, big_omega
 
 
 def _coprime_almost_counts(
-    factor_counts: tuple[bytearray, bytearray], x: int, modulus: int, k_max: int
+    factor_counts: tuple[np.ndarray, np.ndarray], x: int, modulus: int, k_max: int
 ) -> tuple[list[int], list[int]]:
     """(squarefree, with-multiplicity) k-almost-prime counts over n <= x
     coprime to the modulus, from _prime_factor_counts."""
-    omega, big_omega = factor_counts
-    squarefree = [0] * (k_max + 1)
-    multiplicity = [0] * (k_max + 1)
-    for n in range(2, x + 1):
-        if math.gcd(n, modulus) != 1 or big_omega[n] > k_max:
-            continue
-        multiplicity[big_omega[n]] += 1
-        if big_omega[n] == omega[n]:
-            squarefree[big_omega[n]] += 1
-    return squarefree, multiplicity
+    omega, big_omega = (counts[: x + 1] for counts in factor_counts)
+    n = np.arange(x + 1)
+    counted = (n >= 2) & (np.gcd(n, modulus) == 1) & (big_omega <= k_max)
+    multiplicity = np.bincount(big_omega[counted], minlength=k_max + 1)
+    squarefree = np.bincount(
+        big_omega[counted & (big_omega == omega)], minlength=k_max + 1
+    )
+    return squarefree.tolist(), multiplicity.tolist()
 
 
 def check_sandwich(table: SpfTable, x_max: int = 2000) -> list[CheckResult]:

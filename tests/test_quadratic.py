@@ -162,3 +162,26 @@ def test_scan_near_the_int64_edge():
         _root_counts(QuadraticForm(2**62, 0), [3])
     with pytest.raises(ValueError):
         _root_counts(QuadraticForm(0, -5), [0])
+
+
+@pytest.mark.parametrize("edge", [2**31, 2**63])
+@pytest.mark.parametrize("b", [0, -105])
+def test_scan_near_the_edges_for_negative_c(edge, b):
+    """c as negative as the int32 guard (edge 2^31) or the int64 guard
+    (edge 2^63) lets through. f(x) goes down to about c - b^2 / 4, and q * n
+    for q = f(x) // n up to n - 1 below that: inside the m (m - 1) the guard
+    keeps spare below a negative f(x), so both stay exact."""
+    moduli = [1, 3, 5, 7, 15, 21, 35, 105]
+    m = max(moduli)
+    # f(x) = x^2 - 1 mod 105, so every modulus n has 2^(primes of n) roots
+    c = -((edge - 2 - m * (m - 1 + abs(b))) // 105 * 105 + 1)
+    assert _root_counts(QuadraticForm(b, c), moduli) == [_scan(b, c, n) for n in moduli]
+    if edge == 2**31:
+        # past the guard the scan takes int64, also where int32 would wrap
+        for below in (c - 105, c - 105 * 2**23):
+            form = QuadraticForm(b, below)
+            assert _root_counts(form, moduli) == [_scan(b, below, n) for n in moduli]
+    else:
+        # past the int64 guard it refuses
+        with pytest.raises(ValueError):
+            _root_counts(QuadraticForm(b, c - 105), moduli)

@@ -1,20 +1,28 @@
 """Self-check suites behind the verify subcommand."""
 
 import dataclasses
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import verify
+from qcdensity import cli, quadratic, verify
 from qcdensity.residues import ResidueClassSet
 from qcdensity.verify import (
     RESIDUE_DISCRIMINANTS,
     SUITES,
+    _coprime_almost_counts,
     _legendre_symbols,
+    _prime_factor_counts,
     check_recursions,
     format_report,
 )
+
+PINS = Path(__file__).resolve().parent.parent / "qcbench" / "pins.json"
 
 
 def test_suite_names():
@@ -87,6 +95,18 @@ def test_recursion_residuals_print_as_pinned(table):
     assert format_report(check_recursions(table, 10**4)) == RECURSIONS_REPORT
 
 
+def test_verify_all_report_prints_as_pinned(monkeypatch, capsys):
+    """The whole verify-all report, orthogonality errors and recursion
+    residuals included, hashes to the benchmark's pin: a float sum taken in
+    another order fails here on every Python, not only in the benchmark."""
+    pins = set(json.loads(PINS.read_text())["verify-all"].values())
+    assert len(pins) == 1  # the report does not depend on the benchmark's D
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert cli.main(["verify", "--suite", "all", "--x", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pins.pop()
+
+
 def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
     """A form whose formula goes wrong fails at its first bad modulus; the
     other forms still compare every modulus."""
@@ -124,6 +144,46 @@ def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch)
         else:
             formula = q.count_roots_formula(form, n15)
             assert result.detail == f"count mismatch at n=15: {formula} != {formula + 1}"
+
+
+def test_quadratic_takes_each_symbol_once(table, monkeypatch):
+    """The formula and the full-root flag of every modulus read one cached
+    (D/p) per form and prime: one kronecker call per (D, p), not one per
+    (form, modulus, prime)."""
+    calls = []
+
+    def counted(d, p):
+        calls.append((d, p))
+        return q.kronecker(d, p)
+
+    monkeypatch.setattr(quadratic, "kronecker", counted)
+    quadratic._symbol.cache_clear()
+    results = verify.check_quadratic(table)
+    quadratic._symbol.cache_clear()
+    assert all(r.passed for r in results)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= len(verify.QUADRATIC_FORMS) * q.prime_count(table, 5000)
+    assert {d for d, _ in calls} == {f.discriminant for f in verify.QUADRATIC_FORMS}
+
+
+def test_sandwich_reference_counts_match_factorize(small_table):
+    """The numpy reference counts of the sandwich suite against factorize,
+    one n at a time."""
+    counts = _prime_factor_counts(small_table, 2000)
+    factors = [q.factorize(small_table, n).factors for n in range(1, 2001)]
+    assert [(counts[0][n], counts[1][n]) for n in range(2001)] == [(0, 0)] + [
+        (len(f), sum(e for _, e in f)) for f in factors
+    ]
+    for modulus in (1, 3, 4, 5, 8, 12):
+        for x in (100, 500, 2000):
+            squarefree, multiplicity = [0] * 4, [0] * 4
+            for n, f in enumerate(factors[1:x], start=2):
+                big = sum(e for _, e in f)
+                if math.gcd(n, modulus) == 1 and big <= 3:
+                    multiplicity[big] += 1
+                    squarefree[big] += big == len(f)
+            want = (squarefree, multiplicity)
+            assert _coprime_almost_counts(counts, x, modulus, 3) == want
 
 
 @pytest.mark.parametrize("d", RESIDUE_DISCRIMINANTS)
