@@ -19,6 +19,9 @@ Output is deterministic: identical argv yields byte-identical output, and
 JSON is always canonical (sorted keys, tight separators) so that parsing
 and re-serializing reproduces the bytes. Exit codes: 0 success, 1 failed
 checks or exceeded budget, 2 usage errors.
+
+The CLI process runs OpenBLAS on one thread: OPENBLAS_NUM_THREADS is set to 1
+before numpy is imported, unless the environment already sets it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ import os
 import sys
 import time
 from dataclasses import asdict
+
+# Set before the package imports below load numpy: an OpenBLAS thread pool started
+# at import busy-waits for CPU the single-threaded CLI never uses. A value the
+# caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .almostprime import CountMode, ResidueConstraint, count_almost_primes
 from .arith import euler_phi

@@ -62,11 +62,13 @@ class FactorScan:
             mask &= self.squarefree[: len(mask)]
         return int(np.count_nonzero(mask))
 
-    def tuples(self, x: int, k: int) -> np.ndarray:
-        """The sorted primes, one column per n, of the squarefree n <= x in
-        the block with k primes."""
+    def tuples(self, x: int, k: int, squarefree: bool = True) -> np.ndarray:
+        """The sorted primes (with multiplicity), one column per n, of the n
+        <= x in the block with k primes, squarefree ones only when squarefree
+        is set."""
         mask = self._upto(x, k)
-        mask &= self.squarefree[: len(mask)]
+        if squarefree:
+            mask &= self.squarefree[: len(mask)]
         return self.leading[:k, : len(mask)][:, mask]
 
     def sign_counts(

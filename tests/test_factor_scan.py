@@ -64,6 +64,36 @@ def test_unconstrained_counts_match_the_scan(scanned, mode):
         assert q.count_almost_primes(table, x, k, None, mode) == expected, (k, x)
 
 
+def assert_residue_tuples_match(table, x, k, modulus, expected, mode):
+    """Every positional tuple mod modulus against expected (its counts in
+    the order of itertools.product), and every multiset of units, whose
+    count sums the positional counts of its arrangements."""
+    tuples = list(itertools.product(range(modulus), repeat=k))
+    actual = [
+        q.count_almost_primes_positional(table, x, k, combo, modulus, mode)
+        for combo in tuples
+    ]
+    assert actual == expected, k
+    by_multiset = collections.defaultdict(int)
+    for combo, count in zip(tuples, expected):
+        by_multiset[tuple(sorted(combo))] += count
+    units = [a for a in range(modulus) if np.gcd(a, modulus) == 1]
+    for multiset in itertools.combinations_with_replacement(units, k):
+        constraint = ResidueConstraint(modulus, multiset)
+        got = q.count_almost_primes(table, x, k, constraint, mode)
+        assert got == by_multiset[multiset], multiset
+
+
+@pytest.mark.parametrize("mode", list(CountMode))
+def test_every_residue_tuple_mod_twelve_matches_the_scan(scanned, mode):
+    # mod 12 the classes of 2 and 3 hold one prime each and six classes none
+    table, scan = scanned
+    squarefree = mode is CountMode.SQUAREFREE
+    for k in range(1, K_MAX + 1):
+        expected = tuple_counts(scan.tuples(LIMIT, k, squarefree) % 12, 12).tolist()
+        assert_residue_tuples_match(table, LIMIT, k, 12, expected, mode)
+
+
 def test_scan_factors_small_n_as_factorize_does():
     table = q.build_spf_table(5000)
     scan = FactorScan(table.spf, K_MAX)
@@ -134,22 +164,8 @@ def test_unconstrained_counts_at_ten_million_match_the_scan(scanned_big, mode):
 
 
 def test_every_residue_tuple_at_ten_million_matches_the_scan(scanned_big):
-    # every positional tuple mod 20, and every multiset of units, whose
-    # count sums the positional counts of its arrangements
     table, counts = scanned_big
-    units = [a for a in range(MODULUS) if np.gcd(a, MODULUS) == 1]
     for k in range(1, K_MAX + 1):
-        tuples = list(itertools.product(range(MODULUS), repeat=k))
         expected = counts["mod", k].tolist()
-        actual = [
-            q.count_almost_primes_positional(table, BIG, k, combo, MODULUS)
-            for combo in tuples
-        ]
-        assert actual == expected, k
-        by_multiset = collections.defaultdict(int)
-        for combo, count in zip(tuples, expected):
-            by_multiset[tuple(sorted(combo))] += count
-        for multiset in itertools.combinations_with_replacement(units, k):
-            constraint = ResidueConstraint(MODULUS, multiset)
-            got = q.count_almost_primes(table, BIG, k, constraint)
-            assert got == by_multiset[multiset], multiset
+        mode = CountMode.SQUAREFREE
+        assert_residue_tuples_match(table, BIG, k, MODULUS, expected, mode)
