@@ -10,22 +10,25 @@ tuple, in enumeration order: its k - 1 leading primes and the range
 (lo, hi] of the last prime. The walk is memoised in the table's memo
 dict, so every labelling of the same tuples shares it.
 
-Every integer count is a lookup into one count table per labelling
-(_tuple_counts): the rows, sorted by the labels of their leading primes,
-make one count_ranges query on a prime-count oracle of sieve.py per run of
-equal leading labels, which counts the last prime under every label at
-once. The table maps the leading labels to those counts, and a count reads
-one entry (_lookup) or, for a residue multiset, sums the entries whose
-sorted leading labels and last label make up the multiset. Labelled by p
-mod N (_residue_counts, memoised), the table serves positional and
-residue-multiset counts, on the class oracle; by Kronecker sign, the sign
-counts of density.py (_sign_counts), on its sign oracle. Unconstrained
-counts are one query over all the rows on the every-prime oracle. An
-oracle for x answers every last position up to x; it is a lookup into
-counts built from the table's primes up to isqrt(x)
-(sieve._oracle_primes), which bound every leading prime too. So every
-integer count needs the table only up to isqrt(x), and is refused by the
-oracle before the walk when the table stops short.
+Every integer count is a lookup into one count table per key of the rows
+(_tuple_counts): sieve._runs, the one grouping by a label, sorts the rows
+stably by their keys and cuts them into runs of equal keys, and each run
+makes one count_ranges query on a prime-count oracle of sieve.py, which
+counts the last prime under every label at once. The table maps each key
+to those counts, and a count reads entries of it (_lookup). Keyed by the
+residues mod N of the leading primes, position by position
+(_residue_counts), the table serves positional counts; keyed by those
+residues sorted (_multiset_runs, _multiset_counts), residue-multiset
+counts, which read one entry per distinct class v of the multiset: the
+multiset less v, with last class v. Both are on the class oracle. Keyed
+by Kronecker signs, it serves the sign counts of density.py
+(_sign_counts), on its sign oracle. Unconstrained counts are one query
+over all the rows on the every-prime oracle. An oracle for x answers
+every last position up to x; it is a lookup into counts built from the
+table's primes up to isqrt(x) (sieve._oracle_primes), which bound every
+leading prime too. So every integer count needs the table only up to
+isqrt(x), and is refused by the oracle before the walk when the table
+stops short.
 
 The one coverage rule, _check_coverage, guards only the routes that read
 the table's primes at the last position: the ordered float sums, on the
@@ -35,12 +38,12 @@ every prime up to there, and each checks it before it reads the rows.
 
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats visits only the
-rows whose sorted leading residues fit its multiset, looked up in one
-grouping of the rows per (x, k, modulus) (_leading_classes), and weights
-each sorted tuple by its number of distinct orderings (k! over the
-factorials of its prime multiplicities), read off the runs of the leading
-primes. Counts and sums that are asked for again are memoised in the
-table's memo dict as well.
+rows whose sorted leading residues fit its multiset, looked up in the
+grouping of the multiset counts (_multiset_runs, one per (x, k, modulus,
+mode)), and weights each sorted tuple by its number of distinct orderings
+(k! over the factorials of its prime multiplicities), read off the runs
+of the leading primes. Counts and sums that are asked for again are
+memoised in the table's memo dict as well.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .sieve import (
     _PrimeCountOracle,
     _class_oracle,
     _prime_count_grid,
+    _runs,
     _table_memo,
     prime_count,
 )
@@ -187,24 +191,18 @@ def _tuple_counts(
     x: int,
     k: int,
     strict: bool,
-    labels: np.ndarray,
+    runs: tuple[np.ndarray, dict],
     oracle: _PrimeCountOracle,
 ) -> dict:
-    """The rows of _tuple_rows counted under one labelling: labels[p] is
-    the label of a leading prime p. One stable sort of the rows by the
-    labels of their leading primes, then one count_ranges query on the
-    oracle per run of equal leading labels; returns {leading labels:
-    counts of the last prime by label, in the oracle's column order}."""
-    leading, lo, hi = _tuple_rows(table, x, k, strict)
-    keys = labels[leading]
-    order = np.lexsort(keys.T[::-1]) if k > 1 else np.arange(len(lo))
-    keys = keys[order]
-    cuts = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
-    bounds = [0, *cuts, len(lo)]
+    """The rows of _tuple_rows counted in groups: runs, from sieve._runs
+    over one key per row, groups them, and each group makes one
+    count_ranges query on the oracle; returns {key: counts of the last
+    prime by label, in the oracle's column order}."""
+    _, lo, hi = _tuple_rows(table, x, k, strict)
+    order, groups = runs
     return {
-        tuple(keys[i].tolist()): oracle.count_ranges(lo[order[i:j]], hi[order[i:j]])
-        for i, j in zip(bounds, bounds[1:])
-        if i < j
+        key: oracle.count_ranges(lo[order[i:j]], hi[order[i:j]])
+        for key, (i, j) in groups.items()
     }
 
 
@@ -226,39 +224,48 @@ def _unconstrained_count(table: SpfTable, x: int, k: int, strict: bool) -> int:
     return int(oracle.count_ranges(lo, hi)[0])
 
 
+def _residue_keys(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """The residues mod modulus of the leading primes of each row of
+    _tuple_rows, in the narrowest type, since numpy radix-sorts 8- and
+    16-bit keys."""
+    leading, _, _ = _tuple_rows(table, x, k, strict)
+    # every leading prime is at most isqrt(x)
+    labels = np.arange(math.isqrt(x) + 1) % modulus
+    return labels.astype(np.min_scalar_type(modulus - 1))[leading]
+
+
 @_table_memo
 def _residue_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
-    """_tuple_counts labelled by p mod modulus, on the class oracle for (x,
-    modulus), built first so that a table short of isqrt(x) raises before
-    the walk."""
+    """_tuple_counts keyed by the leading residues mod modulus, position by
+    position, on the class oracle for (x, modulus), built first so that a
+    table short of isqrt(x) raises before the walk."""
     oracle = _class_oracle(table, x, modulus)
-    # every leading prime is at most isqrt(x); the narrowest label type,
-    # since numpy radix-sorts 8- and 16-bit keys
-    labels = np.arange(math.isqrt(x) + 1) % modulus
-    labels = labels.astype(np.min_scalar_type(modulus - 1))
-    return _tuple_counts(table, x, k, strict, labels, oracle)
+    runs = _runs(_residue_keys(table, x, k, modulus, strict))
+    return _tuple_counts(table, x, k, strict, runs, oracle)
+
+
+@_table_memo
+def _multiset_runs(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """The rows of _tuple_rows grouped by the sorted residues mod modulus
+    of their leading primes (sieve._runs): the multiset count table and
+    _ordered_stats read it."""
+    keys = _residue_keys(table, x, k, modulus, strict)
+    keys.sort(axis=1)
+    return _runs(keys)
+
+
+@_table_memo
+def _multiset_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
+    """_tuple_counts keyed by the sorted leading residues mod modulus, on
+    the class oracle for (x, modulus), built first as for _residue_counts."""
+    oracle = _class_oracle(table, x, modulus)
+    runs = _multiset_runs(table, x, k, modulus, strict)
+    return _tuple_counts(table, x, k, strict, runs, oracle)
 
 
 def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
     i = values.index(v)
     return values[:i] + values[i + 1 :]
-
-
-def _sorted_count(
-    table: SpfTable, x: int, k: int, modulus: int, residues: tuple, strict: bool
-) -> int:
-    """Sorted prime tuples with product <= x whose residues mod modulus match
-    the multiset `residues`, on the class oracle for (x, modulus); strict
-    means distinct primes. A group whose sorted leading residues are the
-    multiset less one class v adds its count of class v."""
-    counts = _residue_counts(table, x, k, modulus, strict)
-    columns = _class_oracle(table, x, modulus).columns
-    reductions = {_remove_one(residues, v): columns[v] for v in set(residues)}
-    return sum(
-        int(row[reductions[rest]])
-        for leading, row in counts.items()
-        if (rest := tuple(sorted(leading))) in reductions
-    )
 
 
 def count_almost_primes(
@@ -280,8 +287,12 @@ def count_almost_primes(
         return _unconstrained_count(table, x, k, strict)
     if constraint.k != k:
         raise ValueError("constraint length must equal k")
-    ms = constraint.multiset()
-    return _sorted_count(table, x, k, constraint.modulus, ms, strict)
+    modulus, ms = constraint.modulus, constraint.multiset()
+    counts = _multiset_counts(table, x, k, modulus, strict)
+    oracle = _class_oracle(table, x, modulus)
+    # a tuple matches when its sorted leading residues are the multiset less
+    # one class v, which its last prime then takes
+    return sum(_lookup(counts, oracle, (*_remove_one(ms, v), v)) for v in set(ms))
 
 
 def count_almost_primes_positional(
@@ -296,14 +307,16 @@ def count_almost_primes_positional(
     residues[i] mod modulus (sorted with multiplicity in that mode).
 
     The count is one entry of the count table of the walk per (x, k,
-    mode), labelled by residue, on the class oracle for (x, modulus), so it
-    needs the table only up to isqrt(x), and modulus faces the class
-    budget of sieve._oracle_need (a sieve.BudgetError over it). A lone
-    call walks, and counts, every leading tuple, about phi(modulus)^(k-1)
-    times the tuples that match; the cross-check rows of density.py read
-    every entry of the same table. Residue-multiset counts (count_almost_primes with a constraint)
-    read the same table, so a lone `count --classes` counts every leading
-    tuple too.
+    mode), keyed by the leading residues position by position, on the class
+    oracle for (x, modulus), so it needs the table only up to isqrt(x), and
+    modulus faces the class budget of sieve._oracle_need (a
+    sieve.BudgetError over it). A lone call walks every leading tuple and
+    makes one query per sequence of leading residues, up to
+    phi(modulus)^(k-1) of them; the cross-check rows of density.py read
+    every entry of the same table. Residue-multiset counts
+    (count_almost_primes with a constraint) read another table of the same
+    walk, keyed by the sorted leading residues, so a lone `count --classes`
+    makes one query per multiset of leading residues, not per sequence.
     """
     if k < 1 or len(residues) != k:
         raise ValueError("need one residue per position")
@@ -315,19 +328,6 @@ def count_almost_primes_positional(
     res = tuple(r % modulus for r in residues)
     counts = _residue_counts(table, x, k, modulus, strict)
     return _lookup(counts, _class_oracle(table, x, modulus), res)
-
-
-@_table_memo
-def _leading_classes(table: SpfTable, x: int, k: int, modulus: int) -> dict:
-    """The rows of _tuple_rows(table, x, k, False) grouped by the sorted
-    residues mod modulus of their leading primes: {sorted residues: row
-    indices, ascending}. Every residue multiset of _ordered_stats at (x, k,
-    modulus) reads it."""
-    leading, _, _ = _tuple_rows(table, x, k, False)
-    groups: dict = {}
-    for i, key in enumerate(np.sort(leading % modulus, axis=1).tolist()):
-        groups.setdefault(tuple(key), []).append(i)
-    return groups
 
 
 @_table_memo
@@ -343,18 +343,18 @@ def _ordered_stats(
 
     Each sorted tuple counts k! / prod(run length!) times, its runs those
     of the leading primes of its row, and the last prime's. The rows that
-    match are looked up in _leading_classes, so only they are visited.
+    match are looked up in _multiset_runs, so only they are visited.
     """
     _check_coverage(table, x, k)
     cidx = table.class_index(modulus)
     leading, los, his = _tuple_rows(table, x, k, False)
-    groups = _leading_classes(table, x, k, modulus)
+    order, groups = _multiset_runs(table, x, k, modulus, False)
     # a row matches when its sorted leading residues are the multiset less
-    # one class v, which the last prime then takes
+    # one class v, which the last prime then takes; a run's rows ascend
     matched = sorted(
         (i, v)
         for v in set(residues)
-        for i in groups.get(_remove_one(residues, v), ())
+        for i in order[slice(*groups.get(_remove_one(residues, v), (0, 0)))].tolist()
     )
     k_fact, fact = math.factorial(k), math.factorial
     count = 0

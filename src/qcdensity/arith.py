@@ -132,6 +132,12 @@ def _trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+def _units(modulus: int) -> list[int]:
+    """The units a mod modulus, ascending: [0] for modulus 1, whose one
+    class is a unit."""
+    return [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient: number of units modulo n."""
     _check_magnitude(n)

@@ -7,20 +7,20 @@ dividing D never match (their symbol is 0); p = 2 participates exactly when
 D is odd, since (D/2) = 0 for even D.
 
 Counting reads the one recorded walk of almostprime.py per (x, k, mode),
-its rows labelled by the signs of their leading primes, each evaluated
-as (D/p) once per prime: _sign_counts is its count table on
-_sign_oracle, a prime-count oracle for (x, D, odd_only), and a sign
-count is its entry for the leading signs eps[:-1] and the last sign
-eps[-1]. This module owns the one sign-label rule, _sign, and builds the
-oracle's counts from it: a prime is labelled +1 or -1 by the class B(+)
-or B(-) of p mod Q, that is by the real character chi mod Q, except that
-each prime dividing 2D takes (D/p) itself (p = 2 takes 0 when odd_only).
-So the oracle's counts come from pi(v) and one prime sum of chi
-(sieve._prime_sums), with the primes dividing 2D moved to their own
-label by their steps (sieve._prime_steps); they need the table's primes
-only up to isqrt(x). The primes dividing 2D are 2 and the primes of D,
-so 2D is never factored, and D's factorization is the one memoised in
-arith.py. The unconstrained reference counts read the same rows,
+its rows keyed by the signs of their leading primes, each evaluated as
+(D/p) once per prime and grouped by sieve._runs: _sign_counts is its
+count table on _sign_oracle, a prime-count oracle for (x, D, odd_only),
+and a sign count is its entry for the leading signs eps[:-1] and the
+last sign eps[-1]. This module owns the one sign-label rule, _sign, and
+builds the oracle's counts from it: a prime is labelled +1 or -1 by the
+class B(+) or B(-) of p mod Q, that is by the real character chi mod Q,
+except that each prime dividing 2D takes (D/p) itself (p = 2 takes 0
+when odd_only). So the oracle's counts come from pi(v) and one prime sum
+of chi (sieve._prime_sums), with the primes dividing 2D moved to their
+own label by their steps (sieve._prime_steps); they need the table's
+primes only up to isqrt(x). The primes dividing 2D are 2 and the primes
+of D, so 2D is never factored, and D's factorization is the one memoised
+in arith.py. The unconstrained reference counts read the same rows,
 unlabelled, on the every-prime oracle. The residue-class rows of a
 cross-check are positional counts on the class oracle of sieve.py, whose
 counts come from class arithmetic alone, with no symbol and no chi: they
@@ -28,16 +28,18 @@ check the sign rows by an independent route and need the table only up
 to isqrt(x), as the sign rows do, but their phi(Q) coupled rows face the
 class budget of sieve._oracle_need (a sieve.BudgetError over it). Their
 phi(Q)^k rows at one x are entries of one count table of the same walk,
-labelled by residue (almostprime._residue_counts). So a table costs one
-tuple walk per x, with or without the cross-check. _density_rows builds
-the 2^k sign constraints, Q, phi(Q)^k and the classes B(+) and B(-)
-once, then loops over x, sign tuple and residue box, each box row taking
-its reference count from its sign row, and yields each x's rows:
-density_table lists them all, and the CLI's table reads them an x at a
-time, so it can stop between points. Once an x's rows are made, it drops
-that x's oracles, walk and count tables from the table's memo, so a grid
-holds the entries of one x at a time. The CSV and JSON renderings read
-their columns from one list, _COLUMNS.
+keyed by the leading residues position by position
+(almostprime._residue_counts); a lone `count --classes` reads another,
+keyed by the sorted leading residues (almostprime._multiset_counts). So
+a table costs one tuple walk per x, with or without the cross-check.
+_density_rows builds the 2^k sign constraints, Q, phi(Q)^k and the
+classes B(+) and B(-) once, then loops over x, sign tuple and residue
+box, each box row taking its reference count from its sign row, and
+yields each x's rows: density_table lists them all, and the CLI's table
+reads them an x at a time, so it can stop between points. Once an x's
+rows are made, it drops that x's oracles, walk and count tables from the
+table's memo, so a grid holds the entries of one x at a time. The CSV
+and JSON renderings read their columns from one list, _COLUMNS.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .sieve import (
     _prime_count_grid,
     _prime_steps,
     _prime_sums,
+    _runs,
     _table_memo,
 )
 
@@ -145,11 +148,11 @@ def _sign_oracle(table: SpfTable, x: int, d: int, odd_only: bool) -> _PrimeCount
 
 @_table_memo
 def _sign_counts(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict):
-    """almostprime._tuple_counts labelled by _sign, on _sign_oracle, built
-    first so that a table short of isqrt(x) raises before the walk. Each
-    distinct leading prime's sign is evaluated once, from the symbol, never
-    from the oracle, so the residue-class rows of --cross-check stay an
-    independent route."""
+    """almostprime._tuple_counts keyed by the _sign of the leading primes
+    (sieve._runs), on _sign_oracle, built first so that a table short of
+    isqrt(x) raises before the walk. Each distinct leading prime's sign is
+    evaluated once, from the symbol, never from the oracle, so the
+    residue-class rows of --cross-check stay an independent route."""
     oracle = _sign_oracle(table, x, d, odd_only)
     leading, _, _ = _tuple_rows(table, x, k, strict)
     # every leading prime is at most isqrt(x)
@@ -157,7 +160,7 @@ def _sign_counts(table: SpfTable, x: int, k: int, d: int, odd_only: bool, strict
     present[leading] = True
     signs = np.zeros(len(present), dtype=np.int8)
     signs[present] = [_sign(d, p, odd_only) for p in np.flatnonzero(present).tolist()]
-    return _tuple_counts(table, x, k, strict, signs, oracle)
+    return _tuple_counts(table, x, k, strict, _runs(signs[leading]), oracle)
 
 
 def count_sign_constrained(

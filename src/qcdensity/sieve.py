@@ -41,6 +41,11 @@ about twice that). Every budget refusal, there, in build_spf_table (the
 entry budget) and in the CLI, raises BudgetError, a ValueError: the
 request is well formed but too large to run.
 
+Grouping by a label is made in one place, _runs: a stable sort of the
+rows of a 2-D key array, cut into runs of equal keys, {key: (start,
+stop)}. The count tables of almostprime.py and density.py, the rows of
+the ordered float sums and _ClassIndex all take their groups from it.
+
 Two readers of the table's primes stay outside that backend. _ClassIndex
 groups them by one integer label (class_index(N) labels by p mod N) and
 sums log p and 1/p over a range, for the ordered float sums of
@@ -77,7 +82,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .arith import euler_phi, prime_divisors
+from .arith import _units, euler_phi, prime_divisors
 
 DEFAULT_MAX_ENTRIES = 10**8
 _MAGIC = b"SPF1"
@@ -142,6 +147,26 @@ def _forget(table: SpfTable, x: int) -> None:
         del table.memo[key]
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows of the 2-D array keys grouped by equal rows, the one
+    grouping by a label: (order, runs), order a stable sort of the row
+    indices by key, and runs {key row as a tuple: (start, stop)}, whose
+    rows are order[start:stop]."""
+    n = len(keys)
+    if not keys.shape[1]:
+        # keys of no column are all equal, one run
+        return np.arange(n), {(): (0, n)} if n else {}
+    # lexsort takes its last key first
+    order = np.lexsort(keys.T[::-1])
+    grouped = keys[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    bounds = [*starts.tolist(), n]
+    firsts = map(tuple, grouped[starts].tolist())
+    return order, dict(zip(firsts, zip(bounds, bounds[1:])))
+
+
 class _ClassIndex:
     """The primes grouped by an integer label, ascending within each group,
     for the float sums of almostprime._ordered_stats: count, sum of log p
@@ -153,15 +178,9 @@ class _ClassIndex:
     """
 
     def __init__(self, primes: np.ndarray, labels: np.ndarray):
-        order = np.argsort(labels, kind="stable")
+        # (label,) -> (first, one past last) position of its group
+        order, self._groups = _runs(labels[:, None])
         self._primes = primes[order]
-        grouped = labels[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        # label -> (first, one past last) position of its group
-        self._groups = {
-            int(grouped[i0]): (i0, i1)
-            for i0, i1 in zip([0] + cuts, cuts + [len(grouped)])
-        }
 
     @cached_property
     def _logs(self) -> np.ndarray:
@@ -173,7 +192,7 @@ class _ClassIndex:
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
-        i0, i1 = self._groups.get(label, (0, 0))
+        i0, i1 = self._groups.get((label,), (0, 0))
         seg = self._primes[i0:i1]
         j0 = i0 + int(seg.searchsorted(lo, side="right"))
         j1 = i0 + int(seg.searchsorted(hi, side="right"))
@@ -329,7 +348,7 @@ def _class_sums(x: int, primes: np.ndarray, modulus: int) -> tuple[list, np.ndar
     The recurrence runs on f(n) = e_(n mod modulus) for n prime to modulus,
     and 0 otherwise: the primes dividing modulus take out no term, and each
     other prime p moves the counts of class a * p^-1 to class a."""
-    units = [a for a in range(modulus) if math.gcd(a, modulus) == 1]
+    units = _units(modulus)
     column = np.full(modulus, -1, dtype=np.int64)
     column[units] = np.arange(len(units))
     # the steps go before the start sums: made after them, they raised the
@@ -490,15 +509,12 @@ class SpfTable:
         self.spf = spf
         self.spf.setflags(write=False)
         self.primes = _fixed_points(spf)
-        self._primes_list: list[int] | None = None
         # indexes and counts over this table, keyed by the call (_table_memo)
         self.memo: dict = {}
 
-    @property
+    @cached_property
     def primes_list(self) -> list[int]:
-        if self._primes_list is None:
-            self._primes_list = self.primes.tolist()
-        return self._primes_list
+        return self.primes.tolist()
 
     @_table_memo
     def class_index(self, modulus: int) -> _ClassIndex:

@@ -38,6 +38,7 @@ from .almostprime import (
     ordered_tuple_count,
     recursion_residual,
 )
+from .arith import _units
 from .characters import build_character_group, orthogonality_sum
 from .quadratic import (
     QuadraticForm,
@@ -75,12 +76,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _units(modulus: int) -> list[int]:
-    if modulus == 1:
-        return [0]
-    return [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
 
 
 def check_orthogonality(max_modulus: int = 60) -> list[CheckResult]:

@@ -9,6 +9,7 @@ except criteria 11 and 12, which time whole CLI runs in fresh processes.
 import itertools
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -196,29 +197,64 @@ _SQUAREFREE_SEMIPRIMES = {
 }
 
 
+# The child runs the CLI, then writes its own peak RSS (VmHWM, in kB) to
+# the file named by its first argument. VmHWM starts afresh at exec; the
+# ru_maxrss that wait4 reports does not, since Linux carries the spawning
+# process's peak across fork and exec, so it would read the test process's.
+_MEASURED_CLI = """
+import atexit, runpy, sys
+
+def _write_peak(path=sys.argv[1]):
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(path, "w") as out:
+        out.write(peak)
+
+atexit.register(_write_peak)
+sys.argv = ["qcdensity", *sys.argv[2:]]
+runpy.run_module("qcdensity", run_name="__main__", alter_sys=True)
+"""
+
+
 def _run_measured(args, out_path):
-    """Run the CLI in a fresh process: (exit code, stdout, wall s, peak RSS MiB)."""
+    """Run the CLI in a fresh process: (exit code, stdout, wall s, the
+    process's own peak RSS in MiB)."""
     env = os.environ.copy()
     env.pop("QCD_SPF_CACHE", None)
     package_root = os.path.dirname(os.path.dirname(q.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
+    peak_path = f"{out_path}.peak"
     start = time.monotonic()
     with open(out_path, "w") as out:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qcdensity", *args],
+        code = subprocess.run(
+            [sys.executable, "-c", _MEASURED_CLI, peak_path, *args],
             stdout=out,
             stderr=subprocess.DEVNULL,
             env=env,
-        )
-    # reaped here for its rusage; Popen is told the exit code
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+        ).returncode
     wall = time.monotonic() - start
     with open(out_path) as fh:
         stdout = fh.read()
-    return proc.returncode, stdout, wall, usage.ru_maxrss / 1024
+    with open(peak_path) as fh:
+        peak = int(fh.read()) / 1024
+    return code, stdout, wall, peak
+
+
+def test_measured_peak_is_the_job_s_own(tmp_path):
+    """The peak RSS of criteria 11 and 12 is the job's own: from a test
+    process grown past their 200 MiB bound, a small job reads well under
+    it."""
+    # every page written, so all of it is resident
+    ballast = b"\x01" * (220 << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 > 200
+    code, stdout, _, peak = _run_measured(
+        ["count", "--x", "1000", "--k", "2"], tmp_path / "count.txt"
+    )
+    del ballast
+    assert (code, stdout) == (0, "288\n")
+    assert peak < 100, f"{peak:.0f} MiB"
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -136,17 +136,25 @@ def _check_count_table(counts, oracle, hist):
     odd_only=st.booleans(),
 )
 def test_count_tables_match_scans(table, x, k, modulus, mode, d, odd_only):
-    """The residue count table mod N and the sign count table for D against
-    a factorization scan; the residue entries, non-unit classes included,
-    add up to the unconstrained count."""
+    """The positional and the multiset residue count tables mod N, and the
+    sign count table for D, against a factorization scan; the entries of
+    each residue table, non-unit classes included, add up to the
+    unconstrained count."""
     strict = mode is CountMode.SQUAREFREE
-    counts = almostprime._residue_counts(table, x, k, modulus, strict)
     oracle = sieve._class_oracle(table, x, modulus)
     hist = _label_histogram(table, x, k, mode, lambda p: p % modulus)
-    _check_count_table(counts, oracle, hist)
-    total = sum(int(row.sum()) for row in counts.values())
-    assert total == sum(hist.values())
-    assert total == q.count_almost_primes(table, x, k, None, mode)
+    # the multiset table is keyed by the sorted leading residues
+    multiset_hist = collections.Counter()
+    for labels, n in hist.items():
+        multiset_hist[(*sorted(labels[:-1]), labels[-1])] += n
+    for counts, expected in (
+        (almostprime._residue_counts(table, x, k, modulus, strict), hist),
+        (almostprime._multiset_counts(table, x, k, modulus, strict), multiset_hist),
+    ):
+        _check_count_table(counts, oracle, expected)
+        total = sum(int(row.sum()) for row in counts.values())
+        assert total == sum(hist.values())
+        assert total == q.count_almost_primes(table, x, k, None, mode)
 
     counts = density._sign_counts(table, x, k, d, odd_only, strict)
     oracle = density._sign_oracle(table, x, d, odd_only)
