@@ -22,11 +22,19 @@ checks or exceeded budget, 2 usage errors.
 
 The CLI process runs OpenBLAS on one thread: OPENBLAS_NUM_THREADS is set to 1
 before numpy is imported, unless the environment already sets it.
+
+run is the process entry (python -m qcdensity, the console script, and this
+module run as a script). Once the package is imported it calls gc.freeze(),
+so the collections the interpreter runs at shutdown, and any full collection
+during the run, skip numpy's and the package's objects, which live as long
+as the process anyway; then it exits with main's code. main itself never
+freezes, so a process that calls it in-process (the tests) pins no objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -396,5 +404,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: freeze the objects loaded so far, then exit with
+    main's code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -5,10 +5,11 @@ multiplicative formula prod(1 + (D/p)) over the primes of n, which is valid
 exactly when n is odd, squarefree and coprime to the discriminant D. The
 scan has one kernel, _root_counts, which evaluates f(x) once for many
 moduli and finds the roots of each modulus n by one floor division by n;
-count_roots_bruteforce calls it for a single n. The formula reads (D/p)
-from _symbol, a bounded lru_cache over kronecker, so a caller that runs the
-formula over many moduli of one form (verify's quadratic suite) computes
-each symbol once.
+count_roots_bruteforce calls it for a single n. The formula has one kernel
+too, _formula_counts, which forms the product for many moduli at once and
+reads (D/p) from _symbol, a bounded lru_cache over kronecker, once per
+distinct prime; count_roots_formula validates a single n and calls it, and
+verify's quadratic suite calls it once per form for all of its moduli.
 """
 
 from __future__ import annotations
@@ -87,26 +88,37 @@ def _symbol(d: int, p: int) -> int:
     return kronecker(d, p)
 
 
+def _formula_counts(d: int, primes: np.ndarray) -> np.ndarray:
+    """prod(1 + (d/p)) over each modulus's primes: the last axis of the
+    integer array primes lists one modulus's primes, padded with 1, which
+    adds a factor 1; the product runs over that axis. (d/p) comes from
+    _symbol, once per distinct prime of the array. No modulus is validated
+    here."""
+    values, inverse = np.unique(primes, return_inverse=True)
+    factors = np.array(
+        [1 + _symbol(d, p) if p > 1 else 1 for p in values.tolist()], dtype=np.int64
+    )
+    return factors[inverse.reshape(primes.shape)].prod(axis=-1)
+
+
 def count_roots_formula(form: QuadraticForm, n: FactoredInteger) -> int:
     """Root count as prod(1 + (D/p)) over the primes p of n.
 
     Requires n odd, squarefree, coprime to D = b^2 - 4c; rejects anything
     else rather than guessing (no lifting to prime powers, no special
-    handling of shared factors). Every prime of n is checked, whatever the
-    product already is.
+    handling of shared factors). Every prime of n is checked before the
+    product is taken.
     """
     d = form.discriminant
-    count = 1
     for p, e in n.factors:
         if p == 2:
             raise ValueError("formula requires odd n")
         if e > 1:
             raise ValueError("formula requires squarefree n")
-        symbol = _symbol(d, p)
-        if symbol == 0:
+        if d % p == 0:
             raise ValueError("formula requires gcd(n, discriminant) = 1")
-        count *= 1 + symbol
-    return count
+    primes = np.array([p for p, _ in n.factors], dtype=np.int64)
+    return int(_formula_counts(d, primes))
 
 
 def has_max_root_count(form: QuadraticForm, n: FactoredInteger) -> bool:

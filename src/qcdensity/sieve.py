@@ -125,6 +125,9 @@ class FactoredInteger:
         return all(e == 1 for _, e in self.factors)
 
 
+_MISSING = object()
+
+
 def _table_memo(fn):
     """Cache fn(table, *args) in table.memo, so results live as long as the
     table and no longer."""
@@ -132,9 +135,11 @@ def _table_memo(fn):
     @wraps(fn)
     def cached(table: SpfTable, *args):
         key = (fn, args)
-        if key not in table.memo:
-            table.memo[key] = fn(table, *args)
-        return table.memo[key]
+        # one probe on a hit: a memoised value may be anything, None too
+        value = table.memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = table.memo[key] = fn(table, *args)
+        return value
 
     return cached
 

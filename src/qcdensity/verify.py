@@ -5,14 +5,18 @@ compares exactly (or within the stated float tolerance). One CheckResult is
 emitted per family; when a family fails, the detail line carries the first
 counterexample found.
 
-Where the symbols come from: the residues suite reads (D/p) from Euler's
-criterion, d^((p-1)/2) mod p, computed for every prime at once in numpy, so
-the symbol it checks the class sets against shares no code with kronecker.
-The quadratic suite's formula reads (D/p) from kronecker, once per (D, p),
-through quadratic._symbol's bounded cache; its scan counts each form's
-roots with one evaluation of f(x) for all of its moduli
-(quadratic._root_counts) and one floor division per modulus, and the two
-are compared modulus by modulus.
+Where the symbols come from: the residues suite reads (D/p) from Gauss's
+lemma, a count of floor quotients by |D| taken for every prime at once in
+numpy, so the symbol it checks the class sets against shares no code with
+kronecker. The quadratic suite factors every odd modulus once, in one pass
+of division by the table's smallest prime factors (_factor_rounds, which
+the sandwich suite's reference counts share), and takes the squarefree and
+coprime masks, the formula and the full-root flag of all of a form's moduli
+as arrays: the formula is one quadratic._formula_counts call, which reads
+(D/p) from kronecker once per (D, p) through quadratic._symbol's bounded
+cache; the scan counts each form's roots with one evaluation of f(x) for all
+of its moduli (quadratic._root_counts) and one floor division per modulus.
+Each form reports its first modulus where the two disagree.
 
 The orthogonality errors and the recursion residuals printed here are
 rounding noise, pinned byte for byte (qcbench/pins.json and the tests), so
@@ -40,14 +44,9 @@ from .almostprime import (
 )
 from .arith import _units
 from .characters import build_character_group, orthogonality_sum
-from .quadratic import (
-    QuadraticForm,
-    _root_counts,
-    count_roots_formula,
-    has_max_root_count,
-)
+from .quadratic import QuadraticForm, _formula_counts, _root_counts
 from .residues import class_count, residue_classes_constructive, residue_classes_direct
-from .sieve import SpfTable, factorize, prime_count
+from .sieve import SpfTable, prime_count
 
 ORTHOGONALITY_TOLERANCE = 1e-9
 RESIDUAL_TOLERANCE = 1e-9
@@ -153,26 +152,31 @@ def check_recursions(table: SpfTable, x_max: int = 10**4) -> list[CheckResult]:
 
 
 def _legendre_symbols(d: int, primes: np.ndarray) -> np.ndarray:
-    """(d/p) at each odd prime p of the int64 array, by Euler's criterion:
-    d^((p-1)/2) mod p, by square-and-multiply over the whole array at once,
-    read as +1, -1 (that is, p - 1), or 0 where p divides d. Products stay
-    below p^2, which fits int64 for every p < 2^31."""
-    base = d % primes
-    power = np.ones_like(primes)
-    exponent = (primes - 1) // 2
-    while exponent.any():
-        power = np.where(exponent & 1, power * base % primes, power)
-        base = base * base % primes
-        exponent >>= 1
-    return np.where(power == 1, 1, np.where(power == primes - 1, -1, 0))
+    """(d/p) at each odd prime p of the int64 array, by Gauss's lemma, for
+    the whole array at once: with a = |d| and h = (p-1)/2, (a/p) = (-1)^mu,
+    mu the number of k in 1..h with ka mod p > h, that is with
+    jp + h < ka < (j+1)p for some j >= 0. Each j counts its k by two floor
+    divisions by a, and only j < a // 2 can count any, since
+    jp + h < ka <= ah gives j < h(a-1)/p < (a-1)/2. (-1/p) = (-1)^h gives the
+    sign of a negative d, and p dividing d gives 0."""
+    a = abs(d)
+    h = (primes - 1) // 2
+    mu = np.zeros_like(primes)
+    for j in range(a // 2):
+        upper = np.minimum((j + 1) * primes - 1, a * h) // a
+        lower = (j * primes + h) // a
+        mu += np.maximum(upper - lower, 0)
+    if d < 0:
+        mu += h
+    return np.where(a % primes == 0, 0, 1 - 2 * (mu & 1))
 
 
 def check_residues(table: SpfTable) -> list[CheckResult]:
     """Direct and constructive class sets must agree exactly, have size
     phi(Q)/2 each, partition the units mod Q, and predict (D/p) for every
     prime p up to RESIDUE_PRIME_LIMIT not dividing 2D. The symbol there
-    comes from Euler's criterion, which shares no code with the
-    kronecker-based class sets."""
+    comes from Gauss's lemma, which shares no code with the kronecker-based
+    class sets."""
     results = []
     p_max = min(RESIDUE_PRIME_LIMIT, table.limit)
     upto = prime_count(table, p_max)
@@ -217,33 +221,52 @@ def check_residues(table: SpfTable) -> list[CheckResult]:
     return results
 
 
+def _factor_rounds(table: SpfTable, numbers: np.ndarray) -> np.ndarray:
+    """The prime factors, with multiplicity, of every n >= 1 in numbers by
+    one pass of division by the table's smallest prime factors: row r holds
+    the prime divided out of each n in round r, or 1 once n is used up. So
+    each column lists its n's primes in ascending order, padded with 1."""
+    rest = numbers.astype(np.int64)
+    rounds = []
+    while (left := rest > 1).any():
+        p = np.where(left, table.spf[rest], 1)
+        rounds.append(p)
+        rest //= p
+    return np.array(rounds, dtype=np.int64).reshape(len(rounds), numbers.size)
+
+
 def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
     modulus coprime to the discriminant, plus the full-root-count flag.
-    Each form's scan evaluates f(x) once, for all of its moduli; the
-    formula and the flag of every modulus read one cached (D/p) per
-    prime."""
+    Every odd n <= n_max is factored once, for every form, by one pass of
+    _factor_rounds. Each form's scan evaluates f(x) once, for all of its
+    moduli, and its formula is one _formula_counts call over them, which
+    reads one cached (D/p) per prime."""
     n_max = min(n_max, table.limit)
-    # each odd squarefree modulus is factored once, for every form
-    squarefree = [
-        fi for fi in (factorize(table, n) for n in range(1, n_max + 1, 2))
-        if fi.is_squarefree()
-    ]
+    odd = np.arange(1, n_max + 1, 2)
+    rounds = _factor_rounds(table, odd)
+    squarefree = ~((rounds[1:] == rounds[:-1]) & (rounds[1:] > 1)).any(axis=0)
+    # 2^omega(n): the root count exactly when every (D/p) is +1
+    full_counts = 2 ** (rounds > 1).sum(axis=0)
     results = []
     for form in QUADRATIC_FORMS:
         d = form.discriminant
-        moduli = [fi for fi in squarefree if math.gcd(d, fi.n) == 1]
-        counts = _root_counts(form, [fi.n for fi in moduli])
+        kept = np.flatnonzero(squarefree & (np.gcd(odd, d) == 1))
+        moduli = odd[kept]
+        scan = np.array(_root_counts(form, moduli.tolist()))
+        formula = _formula_counts(d, rounds[:, kept].T)
+        wrong_count = formula != scan
+        full = full_counts[kept]
+        wrong_flag = (formula == full) != (scan == full)
         problem = None
-        for fi, brute in zip(moduli, counts):
-            formula = count_roots_formula(form, fi)
-            if formula != brute:
-                problem = f"count mismatch at n={fi.n}: {formula} != {brute}"
-                break
-            if has_max_root_count(form, fi) != (brute == 2 ** len(fi.factors)):
-                problem = f"full-root flag wrong at n={fi.n}"
-                break
-        detail = problem or f"{len(moduli)} moduli <= {n_max} compared"
+        if (bad := np.flatnonzero(wrong_count | wrong_flag)).size:
+            i = bad[0]
+            problem = (
+                f"count mismatch at n={moduli[i]}: {formula[i]} != {scan[i]}"
+                if wrong_count[i]
+                else f"full-root flag wrong at n={moduli[i]}"
+            )
+        detail = problem or f"{moduli.size} moduli <= {n_max} compared"
         results.append(CheckResult("quadratic", f"D={d}", not problem, detail))
     return results
 
@@ -252,22 +275,16 @@ def _prime_factor_counts(
     table: SpfTable, x_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct and the with-multiplicity prime factor counts of every
-    n <= x_max, indexed by n, by direct factorization: the smallest prime
-    factor of the table is divided out of every n at once until 1 is left;
-    the primes come out in ascending order, so a new prime differs from the
+    n <= x_max, indexed by n (0 counts as 1), by _factor_rounds: the primes
+    of each n come out in ascending order, so a new prime differs from the
     one before."""
-    rest = np.arange(x_max + 1)
-    rest[:2] = 1
-    omega = np.zeros(x_max + 1, dtype=np.int64)
-    big_omega = np.zeros(x_max + 1, dtype=np.int64)
-    previous = np.zeros(x_max + 1, dtype=np.int64)
-    while (left := np.flatnonzero(rest > 1)).size:
-        p = table.spf[rest[left]].astype(np.int64)
-        big_omega[left] += 1
-        omega[left] += p != previous[left]
-        previous[left] = p
-        rest[left] //= p
-    return omega, big_omega
+    numbers = np.arange(x_max + 1)
+    numbers[0] = 1
+    rounds = _factor_rounds(table, numbers)
+    found = rounds > 1
+    new = found.copy()
+    new[1:] &= rounds[1:] != rounds[:-1]
+    return new.sum(axis=0), found.sum(axis=0)
 
 
 def _coprime_almost_counts(

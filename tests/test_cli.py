@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through subprocess invocations, and table
 acquisition in process."""
 
+import gc
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from factor_scan import FactorScan
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(qcdensity.__file__))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, command=("-m", "qcdensity")):
     env = os.environ.copy()
     env.pop("QCD_SPF_CACHE", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -28,7 +29,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "qcdensity", *args],
+        [sys.executable, *command, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -241,6 +242,46 @@ def test_out_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert target.read_text() == "1\n9\n11\n19\nQ=20 size=4\n"
+
+
+# The child runs the package as python -m does, and reports the freeze count
+# from an atexit hook, which runs after main has returned.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["qcdensity", *sys.argv[1:]]
+runpy.run_module("qcdensity", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_loaded_objects():
+    args = ("solve", "--b", "0", "--c", "-5", "--n", "209")
+    proc = run_cli(*args, command=("-c", _FREEZE_PROBE))
+    assert proc.returncode == 0
+    assert proc.stdout == "4\n"
+    frozen = int(proc.stderr.split("frozen ")[-1])
+    assert frozen > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["solve", "--b", "0", "--c", "-5", "--n", "209"]) == 0
+    assert capsys.readouterr().out == "4\n"
+    assert gc.get_freeze_count() == before
+
+
+def test_out_file_of_a_fresh_process_matches_stdout(tmp_path):
+    """The process entry exits through sys.exit after main has closed the
+    --out file, so the file is whole and equals the stdout of the same run."""
+    target = tmp_path / "table.csv"
+    args = ("table", "--x", "1000,10000", "--k", "2", "--disc", "5", "--cross-check")
+    to_file = run_cli(*args, "--out", str(target))
+    to_stdout = run_cli(*args)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == ""
+    assert to_stdout.stdout.startswith("x,k,D,constraint,")
+    assert target.read_text() == to_stdout.stdout
 
 
 def test_out_flag_unwritable_path(tmp_path):

@@ -111,12 +111,14 @@ def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
     """A form whose formula goes wrong fails at its first bad modulus; the
     other forms still compare every modulus."""
     expected = [r.detail for r in verify.check_quadratic(table, 500)]
-    formula = verify.count_roots_formula
+    formula_counts = verify._formula_counts
 
-    def wrong_for_d5(form, fi):
-        return formula(form, fi) + (form.discriminant == 5 and fi.n >= 101)
+    def wrong_for_d5(d, primes):
+        # each row of primes is one squarefree modulus, padded with 1
+        moduli = primes.prod(axis=-1)
+        return formula_counts(d, primes) + ((d == 5) & (moduli >= 101))
 
-    monkeypatch.setattr(verify, "count_roots_formula", wrong_for_d5)
+    monkeypatch.setattr(verify, "_formula_counts", wrong_for_d5)
     results = verify.check_quadratic(table, 500)
     assert [r.name for r in results if not r.passed] == ["D=5"]
     assert results[0].detail.startswith("count mismatch at n=101: ")
@@ -187,10 +189,28 @@ def test_sandwich_reference_counts_match_factorize(small_table):
 
 
 @pytest.mark.parametrize("d", RESIDUE_DISCRIMINANTS)
-def test_euler_criterion_matches_kronecker(small_table, d):
-    primes = np.array([p for p in small_table.primes_list if p != 2], dtype=np.int64)
+def test_euler_criterion_matches_kronecker(table, d):
+    """The residues suite's symbols, by Gauss's lemma, against kronecker at
+    every odd prime of the table the suite reads, 0 where p divides d."""
+    primes = np.array([p for p in table.primes_list if p != 2], dtype=np.int64)
     symbols = _legendre_symbols(d, primes)
     assert symbols.tolist() == [q.kronecker(d, p) for p in primes.tolist()]
+
+
+@pytest.mark.parametrize("form", verify.QUADRATIC_FORMS)
+def test_formula_kernel_matches_a_product_of_symbols(small_table, form):
+    """The formula kernel over every odd squarefree n <= 5000 coprime to D,
+    in one call, against prod(1 + (D/p)) taken in Python, n by n."""
+    d = form.discriminant
+    factored = [q.factorize(small_table, n) for n in range(1, 5001, 2)]
+    kept = [
+        [p for p, _ in fi.factors] for fi in factored
+        if fi.is_squarefree() and math.gcd(fi.n, d) == 1
+    ]
+    want = [math.prod(1 + q.kronecker(d, p) for p in primes) for primes in kept]
+    width = max(map(len, kept))
+    padded = np.array([primes + [1] * (width - len(primes)) for primes in kept])
+    assert quadratic._formula_counts(d, padded).tolist() == want
 
 
 def test_residues_catch_swapped_unit_classes(table, monkeypatch):
