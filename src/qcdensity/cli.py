@@ -33,13 +33,9 @@ freezes, so a process that calls it in-process (the tests) pins no objects.
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 # Set before the package imports below load numpy: an OpenBLAS thread pool started
 # at import busy-waits for CPU the single-threaded CLI never uses. A value the
@@ -69,6 +65,13 @@ from .sieve import (
     spf_cache_limit,
 )
 from .verify import RESIDUE_PRIME_LIMIT, SUITES, format_report, run_suite
+
+# After the package, and so after numpy: loaded first, these modules raise the
+# peak RSS of numpy's import.
+import argparse
+import gc
+import json
+from dataclasses import asdict
 
 _MODES = {
     "squarefree": CountMode.SQUAREFREE,

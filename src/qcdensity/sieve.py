@@ -2,6 +2,9 @@
 
 An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
+build_spf_table makes it with one unmasked strided store per prime up to
+isqrt(limit), the largest prime first, and one scan of the entries left
+at 0, which marks the primes and is the table's prime list.
 Range counts have one backend, count_ranges(lo, hi) on a _PrimeCountOracle
 for one x: for every label at once, the primes with that label over the
 ranges lo[i] < p <= hi[i]. It is a plain lookup. It holds its counts as
@@ -491,6 +494,30 @@ def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     return _PrimeCountOracle(x, [(units, sums), (labels, _prime_steps(x, divisors))])
 
 
+def _small_primes(n: int) -> np.ndarray:
+    """The primes up to n, ascending, from a sieve of flags."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def _mark_primes(spf: np.ndarray) -> np.ndarray:
+    """Set spf[n] = n at every n >= 2 that the sieve passes left at 0, the
+    primes, and return them ascending as int64. One scan, a chunk at a
+    time, so no temporary as long as the table is made."""
+    found = []
+    for start in range(2, len(spf), _PRIME_SCAN_CHUNK):
+        chunk = spf[start : start + _PRIME_SCAN_CHUNK]
+        at = np.flatnonzero(chunk == 0)
+        primes = (at + start).astype(spf.dtype)
+        chunk[at] = primes
+        found.append(primes)
+    return np.concatenate(found, dtype=np.int64)
+
+
 def _fixed_points(spf: np.ndarray) -> np.ndarray:
     """The n >= 2 with spf[n] == n, ascending, as int64. The comparison runs
     a chunk at a time, so no temporary as long as the table is made."""
@@ -513,9 +540,15 @@ class SpfTable:
         self.limit = int(limit)
         self.spf = spf
         self.spf.setflags(write=False)
-        self.primes = _fixed_points(spf)
         # indexes and counts over this table, keyed by the call (_table_memo)
         self.memo: dict = {}
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """The primes up to limit, ascending, as int64: the table's fixed
+        points, found on first use, unless build_spf_table has set the
+        primes its own scan found."""
+        return _fixed_points(self.spf)
 
     @cached_property
     def primes_list(self) -> list[int]:
@@ -545,17 +578,16 @@ def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTa
     if limit >= 2**32:
         raise ValueError("limit must fit in 32 bits")
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    # the entries still 0 are the primes, their own smallest factor; filled
-    # a chunk at a time, as _fixed_points reads them
-    for start in range(2, limit + 1, _PRIME_SCAN_CHUNK):
-        chunk = spf[start : start + _PRIME_SCAN_CHUNK]
-        n = np.arange(start, start + len(chunk), dtype=spf.dtype)
-        np.copyto(chunk, n, where=chunk == 0)
-    return SpfTable(limit, spf)
+    # every composite n has its smallest prime q at q*q <= n, so storing p
+    # at p*p, p*p + p, ... for each p <= isqrt(limit), the largest first,
+    # leaves q at n: q's pass is the last that reaches n. An odd p skips
+    # its even multiples, which the pass of 2, the last, covers.
+    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p if p == 2 else 2 * p] = p
+    primes = _mark_primes(spf)
+    table = SpfTable(limit, spf)
+    table.primes = primes
+    return table
 
 
 def prime_count(table: SpfTable, x: int) -> int:

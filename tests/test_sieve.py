@@ -1,6 +1,7 @@
 """Smallest-prime-factor table, factorization, and the binary cache."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,62 @@ def test_spf_matches_trial_division(small_table):
 
 def test_prime_list_matches_bruteforce_sieve(small_table):
     assert small_table.primes_list == _sieve(10**4)
+
+
+def _masked_sieve(limit):
+    """The sieve in its plainest numpy form: each prime's pass, smallest
+    first, fills only the entries still 0, and the primes are the entries
+    left at 0."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    n = np.arange(limit + 1, dtype=np.uint32)
+    primes = (spf == 0) & (n >= 2)
+    spf[primes] = n[primes]
+    return spf
+
+
+def _check_primes(table):
+    primes = table.primes
+    assert primes.dtype == np.int64
+    assert (np.diff(primes) > 0).all()
+    n = np.arange(2, table.limit + 1)
+    assert np.array_equal(primes, n[table.spf[2:] == n])
+
+
+def test_table_at_every_small_limit_matches_trial_division():
+    expected = [0, 0] + [_smallest_factor(n) for n in range(2, 2001)]
+    for limit in range(2, 2001):
+        table = q.build_spf_table(limit)
+        assert table.spf.dtype == np.uint32
+        assert table.spf.tolist() == expected[: limit + 1], limit
+        _check_primes(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2 * 10**5))
+def test_table_matches_the_masked_sieve(limit):
+    table = q.build_spf_table(limit)
+    assert np.array_equal(table.spf, _masked_sieve(limit))
+    _check_primes(table)
+
+
+def test_build_makes_no_full_length_temporary():
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = q.build_spf_table(5 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # the table holds 21.7 MiB; a full-length uint32 temporary is 19 MiB
+    assert peak <= table.spf.nbytes + table.primes.nbytes + 3 * 2**20
 
 
 def test_prime_count_frozen_values(table):
