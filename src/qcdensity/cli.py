@@ -200,8 +200,7 @@ def _cmd_count(args) -> int:
         payload.update(classes=list(constraint.residues), mod=args.mod)
     if constraint is not None and constraint.k != args.k:
         raise ValueError(f"--k {args.k} does not match the constraint's {constraint.k}")
-    need = _oracle_need(args.x, args.mod)
-    table = _get_table(max(need, args.limit or 2))
+    table = _get_table(_oracle_need(args.x, args.mod))
     mode = _MODES[args.mode]
     if args.eps is not None:
         value = count_sign_constrained(table, args.x, args.k, constraint, mode)
@@ -237,7 +236,7 @@ def _cmd_table(args) -> int:
             f"{what} needs at least {rows} rows, which exceeds the"
             f" budget of {_TABLE_ROW_BUDGET}"
         )
-    table = _get_table(max(need, args.limit or 2))
+    table = _get_table(need)
     start = time.monotonic()
     rows = []
     completed = 0
@@ -292,9 +291,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.x < 100:
         raise ValueError("--x must be >= 100")
-    # --limit raises the table, never lowers it below what the suites read;
     # each suite's grid stops below RESIDUE_PRIME_LIMIT, whatever --x is
-    table = _get_table(max(args.limit or 2, RESIDUE_PRIME_LIMIT))
+    table = _get_table(RESIDUE_PRIME_LIMIT)
     start = time.monotonic()
     results = run_suite(table, args.suite, args.x)
     passed = sum(r.passed for r in results)
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     constraint.add_argument("--classes", help="residue multiset, e.g. 1,3")
     constraint.add_argument("--eps", help="sign per position, e.g. +- (use --eps=+-)")
     count.add_argument("--mode", choices=sorted(_MODES), default="squarefree")
-    count.add_argument("--limit", type=int, help="minimum prime-table limit")
     add_common(count)
 
     table = sub.add_parser("table", help="density report over an x grid")
@@ -353,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append per-residue-class rows under each sign row",
     )
-    table.add_argument("--limit", type=int, help="minimum prime-table limit")
     table.add_argument("--budget-seconds", type=float)
     add_common(table)
 
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run self-check suites")
     verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     verify.add_argument("--x", type=int, default=2000, help="scale cap for the grids")
-    verify.add_argument("--limit", type=int, help="minimum prime-table limit")
     add_common(verify)
 
     return parser

@@ -7,15 +7,14 @@ scan has one kernel, _root_counts, which evaluates f(x) once for many
 moduli and finds the roots of each modulus n by one floor division by n;
 count_roots_bruteforce calls it for a single n. The formula has one kernel
 too, _formula_counts, which forms the product for many moduli at once and
-reads (D/p) from _symbol, a bounded lru_cache over kronecker, once per
-distinct prime; count_roots_formula validates a single n and calls it, and
-verify's quadratic suite calls it once per form for all of its moduli.
+calls kronecker once per distinct prime; count_roots_formula validates a
+single n and calls it, and verify's quadratic suite calls it once per form
+for all of its moduli.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .arith import _check_magnitude, kronecker
 from .sieve import FactoredInteger
 
 BRUTE_FORCE_LIMIT = 10**6
-# _symbol keeps this many (D, p): more than the odd primes up to 5000 (668),
-# so a form's symbols stay cached while verify compares its moduli
-_SYMBOL_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -82,21 +78,14 @@ def count_roots_bruteforce(form: QuadraticForm, n: int) -> int:
     return _root_counts(QuadraticForm(form.b % n, form.c % n), [n])[0]
 
 
-@lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
-def _symbol(d: int, p: int) -> int:
-    """(d/p), memoised for the formula's repeated primes."""
-    return kronecker(d, p)
-
-
 def _formula_counts(d: int, primes: np.ndarray) -> np.ndarray:
     """prod(1 + (d/p)) over each modulus's primes: the last axis of the
     integer array primes lists one modulus's primes, padded with 1, which
-    adds a factor 1; the product runs over that axis. (d/p) comes from
-    _symbol, once per distinct prime of the array. No modulus is validated
-    here."""
+    adds a factor 1; the product runs over that axis. kronecker gives (d/p)
+    once per distinct prime of the array. No modulus is validated here."""
     values, inverse = np.unique(primes, return_inverse=True)
     factors = np.array(
-        [1 + _symbol(d, p) if p > 1 else 1 for p in values.tolist()], dtype=np.int64
+        [1 + kronecker(d, p) if p > 1 else 1 for p in values.tolist()], dtype=np.int64
     )
     return factors[inverse.reshape(primes.shape)].prod(axis=-1)
 

@@ -11,12 +11,13 @@ numpy, so the symbol it checks the class sets against shares no code with
 kronecker. The quadratic suite factors every odd modulus once, in one pass
 of division by the table's smallest prime factors (_factor_rounds, which
 the sandwich suite's reference counts share), and takes the squarefree and
-coprime masks, the formula and the full-root flag of all of a form's moduli
-as arrays: the formula is one quadratic._formula_counts call, which reads
-(D/p) from kronecker once per (D, p) through quadratic._symbol's bounded
-cache; the scan counts each form's roots with one evaluation of f(x) for all
-of its moduli (quadratic._root_counts) and one floor division per modulus.
-Each form reports its first modulus where the two disagree.
+coprime masks and the formula counts of all of a form's moduli as arrays:
+the formula is one quadratic._formula_counts call, which calls kronecker
+once per (D, p); the scan counts each form's roots with one evaluation of
+f(x) for all of its moduli (quadratic._root_counts) and one floor division
+per modulus. Each form reports its first modulus where the two counts
+disagree. The full 2^k root count is the formula's count when every (D/p)
+is +1, so it needs no check of its own.
 
 The orthogonality errors and the recursion residuals printed here are
 rounding noise, pinned byte for byte (qcbench/pins.json and the tests), so
@@ -237,17 +238,14 @@ def _factor_rounds(table: SpfTable, numbers: np.ndarray) -> np.ndarray:
 
 def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
-    modulus coprime to the discriminant, plus the full-root-count flag.
-    Every odd n <= n_max is factored once, for every form, by one pass of
-    _factor_rounds. Each form's scan evaluates f(x) once, for all of its
-    moduli, and its formula is one _formula_counts call over them, which
-    reads one cached (D/p) per prime."""
+    modulus coprime to the discriminant. Every odd n <= n_max is factored
+    once, for every form, by one pass of _factor_rounds. Each form's scan
+    evaluates f(x) once, for all of its moduli, and its formula is one
+    _formula_counts call over them, which takes (D/p) once per prime."""
     n_max = min(n_max, table.limit)
     odd = np.arange(1, n_max + 1, 2)
     rounds = _factor_rounds(table, odd)
     squarefree = ~((rounds[1:] == rounds[:-1]) & (rounds[1:] > 1)).any(axis=0)
-    # 2^omega(n): the root count exactly when every (D/p) is +1
-    full_counts = 2 ** (rounds > 1).sum(axis=0)
     results = []
     for form in QUADRATIC_FORMS:
         d = form.discriminant
@@ -255,17 +253,10 @@ def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
         moduli = odd[kept]
         scan = np.array(_root_counts(form, moduli.tolist()))
         formula = _formula_counts(d, rounds[:, kept].T)
-        wrong_count = formula != scan
-        full = full_counts[kept]
-        wrong_flag = (formula == full) != (scan == full)
         problem = None
-        if (bad := np.flatnonzero(wrong_count | wrong_flag)).size:
+        if (bad := np.flatnonzero(formula != scan)).size:
             i = bad[0]
-            problem = (
-                f"count mismatch at n={moduli[i]}: {formula[i]} != {scan[i]}"
-                if wrong_count[i]
-                else f"full-root flag wrong at n={moduli[i]}"
-            )
+            problem = f"count mismatch at n={moduli[i]}: {formula[i]} != {scan[i]}"
         detail = problem or f"{moduli.size} moduli <= {n_max} compared"
         results.append(CheckResult("quadratic", f"D={d}", not problem, detail))
     return results

@@ -1,15 +1,15 @@
-"""The benchmark harness's warm-cache guard, on a job whose need is set by
---limit: a residue-multiset count, `count --x 1000 --k 2 --mod 4 --classes
-1,3 --limit 500`.
+"""The benchmark harness's warm-cache guard, on a job that needs more table
+than the harness's short cache holds: a residue-multiset count, `count --x
+20000 --k 2 --mod 4 --classes 1,3`.
 
 qcbench/test_bench.py::test_warm_job_that_does_not_use_the_setup_cache_fails
 checks the same guard on `table --x 1000 --k 2 --disc 5`. That job needs a
 table only to isqrt(1000) = 31, since sign and reference counts read the
 prime-count oracle, so the 100-entry cache that test writes as "too small"
 covers it and is rightly kept. The residue-class counts read the class
-oracle, which needs no more; so the job here asks for a 500-entry table
-with --limit, the 100-entry cache stops short of it, and every step of the
-guard is exercised again.
+oracle, which needs a table to isqrt(x) as well; so the job here counts to
+x = 20000, which needs isqrt(20000) = 141 entries, the 100-entry cache
+stops short of it, and every step of the guard is exercised again.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ run = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = run  # dataclasses resolve annotations through it
 _spec.loader.exec_module(run)
 
-TINY = [
-    "count", "--x", "1000", "--k", "2", "--mod", "4", "--classes", "1,3",
-    "--limit", "500",
-]
+TINY = ["count", "--x", "20000", "--k", "2", "--mod", "4", "--classes", "1,3"]
 
 
 def _workload(warm: bool):
@@ -63,7 +60,7 @@ def test_warm_job_that_does_not_use_the_setup_cache_fails(monkeypatch, tmp_path)
         rejected = bench.job(run.cli_argv(TINY))
         assert rejected.stdout and hashlib.sha256(rejected.stdout).hexdigest() == digest
         assert rejected.problem == "the job rejected the SPF cache written in setup"
-        # a cache below the 500 entries the job needs: rebuilt and rewritten
+        # a cache below the 141 entries the job needs: rebuilt and rewritten
         assert bench.setup_once(run.cli_argv(["primes", "--limit", "100"])).problem
         bench.sealed_cache = run.cache_state(bench.cache)
         rewritten = bench.job(run.cli_argv(TINY))

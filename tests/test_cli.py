@@ -190,19 +190,6 @@ def test_verify_json_payload():
     assert all(c["passed"] for c in payload["checks"])
 
 
-@pytest.mark.parametrize("suite", ["residues", "quadratic"])
-def test_verify_limit_is_a_minimum(monkeypatch, capsys, suite):
-    # --limit 200 below the default table changes nothing the suites check:
-    # residues still reads the primes to 10^5, quadratic the moduli to 5000
-    monkeypatch.delenv("QCD_SPF_CACHE", raising=False)
-    outputs = []
-    for extra in ([], ["--limit", "200"]):
-        assert cli.main(["verify", "--suite", suite, "--x", "100", *extra]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert ("9591 primes checked" if suite == "residues" else "<= 5000") in outputs[0]
-
-
 def test_verify_x_past_the_suites_reads_the_same_table(monkeypatch, capsys):
     # no suite reads past 10^5, so --x 10^9 builds no larger table and
     # prints what --x 10^4 prints
@@ -338,6 +325,10 @@ def test_usage_errors_exit_two(args):
     ("count", "--x", "100000", "--k", "2", "--disc", "5", "--eps=++", "--mod", "4"),
     ("count", "--x", "100000", "--k", "2", "--disc", "5", "--mod", "4",
      "--classes", "1,3"),
+    # only primes takes --limit: the others read what their arguments need
+    ("count", "--x", "1000", "--k", "2", "--limit", "500"),
+    ("table", "--x", "1000", "--k", "2", "--disc", "5", "--limit", "500"),
+    ("verify", "--suite", "residues", "--limit", "500"),
 ])
 def test_usage_error_acquires_no_table(args, tmp_path):
     cache = tmp_path / "spf.bin"
@@ -352,7 +343,6 @@ def test_usage_error_acquires_no_table(args, tmp_path):
     # about x^(3/4) = 10^9 updates for the class oracle's prime counts
     ("count", "--x", "1000000000000", "--k", "1", "--mod", "4", "--classes", "1"),
     ("primes", "--limit", "200000000"),
-    ("verify", "--limit", "200000000"),
 ])
 def test_table_over_budget_exits_one(args):
     # the sieve or the oracle refuses before it allocates: a runtime limit,

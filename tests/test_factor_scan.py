@@ -59,7 +59,14 @@ def test_every_sign_tuple_matches_the_scan(scanned, d):
 def test_unconstrained_counts_match_the_scan(scanned, mode):
     table, scan = scanned
     squarefree = mode is CountMode.SQUAREFREE
-    for k, x in itertools.product(range(1, K_MAX + 1), X_GRID):
+    # the float k-th root of p^k can round below p (5^3, 7^3 and 11^3 do),
+    # and the walk must still reach the tuple (p, ..., p)
+    powers = [
+        (k, p**k - below)
+        for p, k, below in itertools.product(table.primes_list, range(2, 6), (0, 1))
+        if p <= 50 and p**k <= LIMIT
+    ]
+    for k, x in [*itertools.product(range(1, K_MAX + 1), X_GRID), *powers]:
         expected = scan.almost_prime_count(x, k, squarefree)
         assert q.count_almost_primes(table, x, k, None, mode) == expected, (k, x)
 

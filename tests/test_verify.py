@@ -149,9 +149,8 @@ def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch)
 
 
 def test_quadratic_takes_each_symbol_once(table, monkeypatch):
-    """The formula and the full-root flag of every modulus read one cached
-    (D/p) per form and prime: one kronecker call per (D, p), not one per
-    (form, modulus, prime)."""
+    """The formula of every modulus reads (D/p) once per form and prime: one
+    kronecker call per (D, p), not one per (form, modulus, prime)."""
     calls = []
 
     def counted(d, p):
@@ -159,9 +158,7 @@ def test_quadratic_takes_each_symbol_once(table, monkeypatch):
         return q.kronecker(d, p)
 
     monkeypatch.setattr(quadratic, "kronecker", counted)
-    quadratic._symbol.cache_clear()
     results = verify.check_quadratic(table)
-    quadratic._symbol.cache_clear()
     assert all(r.passed for r in results)
     assert len(calls) == len(set(calls))
     assert len(calls) <= len(verify.QUADRATIC_FORMS) * q.prime_count(table, 5000)
@@ -243,3 +240,112 @@ def test_residues_catch_swapped_unit_classes(table, monkeypatch):
     assert [r.name for r in results if not r.passed] == [f"D={d}"]
     failed = next(r for r in results if not r.passed)
     assert failed.detail == f"periodicity fails at p={expected}"
+
+
+def _cli_failures(monkeypatch, capsys, suite):
+    """{check name: detail} of the FAIL lines that `verify --suite suite
+    --x 10000` prints, which must exit 1."""
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert cli.main(["verify", "--suite", suite, "--x", "10000"]) == 1
+    prefix = f"FAIL [{suite}] "
+    failed = [
+        line[len(prefix):].split(": ", 1)
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL")
+    ]
+    return dict(failed)
+
+
+def test_orthogonality_reports_a_wrong_non_unit_sum(monkeypatch, capsys):
+    orthogonality_sum = verify.orthogonality_sum
+
+    def wrong_mod_12(group, m, n):
+        return 1.0 if group.modulus == 12 else orthogonality_sum(group, m, n)
+
+    monkeypatch.setattr(verify, "orthogonality_sum", wrong_mod_12)
+    failed = _cli_failures(monkeypatch, capsys, "orthogonality")
+    # the first unit of the modulus takes the error; later equal ones keep it
+    assert failed == {"N=12": "phi=4 max error 1.00e+00 at pair (1, 0)"}
+
+
+def test_recursions_report_the_case_of_the_largest_residual(monkeypatch, capsys):
+    recursion_residual = verify.recursion_residual
+    bad = ("log_sum", 1000, 1, q.ResidueConstraint(4, (1, 3)))
+
+    def one_bad_case(table, identity, x, k, constraint):
+        if (identity, x, k, constraint) == bad:
+            return 1.0
+        return recursion_residual(table, identity, x, k, constraint)
+
+    monkeypatch.setattr(verify, "recursion_residual", one_bad_case)
+    failed = _cli_failures(monkeypatch, capsys, "recursions")
+    assert failed == {
+        "log_sum N=4 k=1": "max residual 1.00e+00 over 9 cases at x=1000 m=(1, 3)"
+    }
+
+
+def test_residues_report_a_wrong_constructive_set(monkeypatch, capsys):
+    constructive = verify.residue_classes_constructive
+
+    def swapped_for_d5(disc, eps):
+        return constructive(disc, -eps if disc == 5 else eps)
+
+    monkeypatch.setattr(verify, "residue_classes_constructive", swapped_for_d5)
+    failed = _cli_failures(monkeypatch, capsys, "residues")
+    assert failed == {
+        "D=5": "constructive mismatch at eps=+1; constructive mismatch at eps=-1"
+    }
+
+
+def test_residues_report_every_problem_of_a_wrong_direct_set(monkeypatch, capsys):
+    """B(+) mod 20 of D = 5 gains 3 and B(-) loses 17: the sets differ from
+    the constructive ones, have the wrong sizes, overlap at 3, miss 17, and
+    the prime 17, where (5/17) = -1, is in neither."""
+    direct = verify.residue_classes_direct
+
+    def wrong_for_d5(disc, eps):
+        classes = direct(disc, eps)
+        if disc != 5:
+            return classes
+        changed = set(classes.classes) ^ ({3} if eps == 1 else {17})
+        return ResidueClassSet(disc, classes.modulus, eps, tuple(sorted(changed)))
+
+    monkeypatch.setattr(verify, "residue_classes_direct", wrong_for_d5)
+    failed = _cli_failures(monkeypatch, capsys, "residues")
+    assert failed == {
+        "D=5": "constructive mismatch at eps=+1; constructive mismatch at eps=-1;"
+        " sizes 5/3 != 4; sign sets overlap; sign sets do not cover the units;"
+        " periodicity fails at p=17"
+    }
+
+
+def test_sandwich_reports_an_ordered_count_past_its_bound(monkeypatch, capsys):
+    ordered_tuple_count = verify.ordered_tuple_count
+
+    def shifted_mod_5(table, x, k, constraint):
+        shift = constraint.modulus == 5 and k == 1
+        return ordered_tuple_count(table, x, k, constraint) + shift
+
+    monkeypatch.setattr(verify, "ordered_tuple_count", shifted_mod_5)
+    failed = _cli_failures(monkeypatch, capsys, "sandwich")
+    assert failed == {"N=5 k=1": "sandwich fails at x=100 m=(1,)"}
+
+
+def test_sandwich_reports_a_wrong_multiplicity_count(table, monkeypatch, capsys):
+    """One more k = 2 count with multiplicity keeps every sandwich: mod 8 the
+    first distinct pair (1, 3) loses its equality, and mod 1, with no
+    distinct pair, the counts no longer partition the reference."""
+    count_almost_primes = verify.count_almost_primes
+
+    def shifted(table, x, k, constraint, mode):
+        shift = mode is q.CountMode.WITH_MULTIPLICITY and k == 2
+        shift &= constraint.modulus in (1, 8)
+        return count_almost_primes(table, x, k, constraint, mode) + shift
+
+    monkeypatch.setattr(verify, "count_almost_primes", shifted)
+    failed = _cli_failures(monkeypatch, capsys, "sandwich")
+    assert list(failed) == ["N=1 k=2", "N=8 k=2"]
+    reference = _coprime_almost_counts(_prime_factor_counts(table, 100), 100, 1, 3)
+    sf, wm = (counts[2] for counts in reference)
+    assert failed["N=1 k=2"] == f"partition fails at x=100: {sf}/{sf} sf, {wm + 1}/{wm} wm"
+    assert failed["N=8 k=2"] == "distinct-case equality fails at x=100 m=(1, 3)"
