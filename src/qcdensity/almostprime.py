@@ -263,9 +263,10 @@ def _multiset_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool
     return _tuple_counts(table, x, k, strict, runs, oracle)
 
 
-def _remove_one(values: tuple[int, ...], v: int) -> tuple[int, ...]:
-    i = values.index(v)
-    return values[:i] + values[i + 1 :]
+def _reductions(ms: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """{v: the sorted multiset ms less one v} for each distinct class v of
+    ms, in ascending v."""
+    return {v: ms[:i] + ms[i + 1 :] for i, v in enumerate(ms) if ms.index(v) == i}
 
 
 def count_almost_primes(
@@ -292,7 +293,9 @@ def count_almost_primes(
     oracle = _class_oracle(table, x, modulus)
     # a tuple matches when its sorted leading residues are the multiset less
     # one class v, which its last prime then takes
-    return sum(_lookup(counts, oracle, (*_remove_one(ms, v), v)) for v in set(ms))
+    return sum(
+        _lookup(counts, oracle, (*reduced, v)) for v, reduced in _reductions(ms).items()
+    )
 
 
 def count_almost_primes_positional(
@@ -353,8 +356,8 @@ def _ordered_stats(
     # one class v, which the last prime then takes; a run's rows ascend
     matched = sorted(
         (i, v)
-        for v in set(residues)
-        for i in order[slice(*groups.get(_remove_one(residues, v), (0, 0)))].tolist()
+        for v, reduced in _reductions(residues).items()
+        for i in order[slice(*groups.get(reduced, (0, 0)))].tolist()
     )
     k_fact, fact = math.factorial(k), math.factorial
     count = 0
@@ -414,19 +417,16 @@ class OrderedTupleSums:
     arrangement_count: int
 
 
-def _distinct_reductions(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [_remove_one(multiset, v) for v in sorted(set(multiset))]
-
-
 def _reduced_reciprocal_sum(
     table: SpfTable, xf: int, k: int, modulus: int, ms: tuple[int, ...]
 ) -> float:
     """The sum of the level-(k-1) reciprocal sums over the distinct
-    one-residue reductions of ms, the empty reduction contributing 1."""
+    one-residue reductions of ms (_reductions, in ascending class), the
+    empty reduction contributing 1."""
     if k == 1:
         return 1.0
     total = 0.0
-    for reduced in _distinct_reductions(ms):
+    for reduced in _reductions(ms).values():
         total += _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
     return total
 
@@ -553,7 +553,7 @@ def recursion_residual(
     phi = euler_phi(n_mod)
     ms = constraint.multiset()
     xf = math.floor(x)
-    reductions = {v: _remove_one(ms, v) for v in set(ms)}
+    reductions = _reductions(ms)
 
     if identity == "log_sum":
         lhs = k * tuple_sums(table, x, k + 1, constraint).log_sum

@@ -3,8 +3,17 @@
 The unit group mod N is decomposed into cyclic components (a primitive root
 for each odd prime power; -1 and 5 for powers of two). A character is an
 exponent vector against that basis, ordered lexicographically, so index 0 is
-always the principal character. Evaluation stays in integer arithmetic until
-the final lookup into a precomputed table of roots of unity.
+always the principal character. Every value comes from one kernel,
+CharacterGroup._columns: the phase of character i at a unit n is row i of
+the integer weight matrix W times n's exponent vector, mod L (the lcm of
+the generator orders), taken for a set of units in one matmul, and the one
+float step is the lookup of those phases in a table of L-th roots of
+unity. value reads one entry of the column at n, orthogonality_sum is one
+np.vdot of the columns at m and n, and unit_value_matrix is the columns at
+every unit, so a value is the same bits whichever route reads it.
+unit_value_matrix, and only it, refuses a group of more than
+_TABLE_UNIT_LIMIT units: the guard on the memory of a phi x phi complex
+matrix.
 """
 
 from __future__ import annotations
@@ -77,52 +86,45 @@ class CharacterGroup:
         angles = 2.0 * math.pi * np.arange(self._L) / self._L
         self._roots = np.cos(angles) + 1j * np.sin(angles)
         self._roots[0] = 1.0 + 0.0j
-        self._weights = tuple(
-            tuple(t * (self._L // d) for t, d in zip(chi, self.orders))
-            for chi in self.characters
+        # W[i, j]: character i's phase per unit of generator j's exponent,
+        # in L-ths of a turn (phi x rank)
+        self._W = np.array(self.characters, dtype=np.int64) * (
+            self._L // np.array(self.orders, dtype=np.int64)
         )
-        self._units = tuple(sorted(self._unit_logs))
-        self._unit_pos = {u: i for i, u in enumerate(self._units)}
-        self._matrix: np.ndarray | None = None
 
     @property
     def num_characters(self) -> int:
         return len(self.characters)
 
+    def _columns(self, units) -> np.ndarray:
+        """The one kernel: every character's value (rows, by index) at each
+        of the given units (columns), in one matmul of exponents."""
+        logs = np.array(
+            [self._unit_logs[u % self.modulus] for u in units], dtype=np.int64
+        )
+        return self._roots[(self._W @ logs.T) % self._L]
+
     def value(self, index: int, n: int) -> complex:
         """chi_index(n); 0 for non-units."""
-        u = n % self.modulus
-        logs = self._unit_logs.get(u)
-        if logs is None:
+        if n % self.modulus not in self._unit_logs:
             return 0j
-        w = self._weights[index]
-        phase = 0
-        for wj, lj in zip(w, logs):
-            phase += wj * lj
-        return complex(self._roots[phase % self._L])
+        return complex(self._columns((n,))[index, 0])
 
     def unit_value_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """(num_characters x num_units) value matrix and the unit ordering."""
-        if self._matrix is None:
-            if self.group_order > _TABLE_UNIT_LIMIT:
-                raise ValueError("unit value matrix too large for this modulus")
-            logmat = np.array(
-                [self._unit_logs[u] for u in self._units], dtype=np.int64
-            ).reshape(len(self._units), len(self.orders))
-            wmat = np.array(self._weights, dtype=np.int64).reshape(
-                len(self.characters), len(self.orders)
-            )
-            phases = (wmat @ logmat.T) % self._L
-            self._matrix = self._roots[phases]
-        return self._matrix, self._units
+        """(num_characters x num_units) value matrix and the unit ordering,
+        ascending, made on each call."""
+        if self.group_order > _TABLE_UNIT_LIMIT:
+            raise ValueError("unit value matrix too large for this modulus")
+        units = tuple(sorted(self._unit_logs))
+        return self._columns(units), units
 
 
-def build_character_group(modulus: int, max_modulus: int = MAX_MODULUS) -> CharacterGroup:
-    """Construct the character group mod N. N above max_modulus is rejected."""
+def build_character_group(modulus: int) -> CharacterGroup:
+    """Construct the character group mod N. N above MAX_MODULUS is rejected."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    if modulus > max_modulus:
-        raise ValueError(f"modulus {modulus} exceeds the configured cap {max_modulus}")
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} exceeds the configured cap {MAX_MODULUS}")
     return CharacterGroup(modulus)
 
 
@@ -133,19 +135,15 @@ def evaluate(group: CharacterGroup, index: int, n: int) -> complex:
 
 
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:
-    """Sum over all characters of conj(chi(m)) * chi(n); m must be a unit."""
-    mu = m % group.modulus
-    if mu not in group._unit_pos:
+    """Sum over all characters of conj(chi(m)) * chi(n); m must be a unit.
+
+    The sum is one np.vdot of the two columns of a (phi x 2) value matrix:
+    strided like the columns of unit_value_matrix, so it rounds as the
+    vdot of those columns does (BLAS sums a contiguous vector in another
+    order)."""
+    if m % group.modulus not in group._unit_logs:
         raise ValueError(f"{m} is not a unit mod {group.modulus}")
-    if group.group_order <= _TABLE_UNIT_LIMIT:
-        matrix, _ = group.unit_value_matrix()
-        col_m = matrix[:, group._unit_pos[mu]]
-        nu = n % group.modulus
-        pos = group._unit_pos.get(nu)
-        if pos is None:
-            return 0j
-        return complex(np.vdot(col_m, matrix[:, pos]))
-    total = 0j
-    for idx in range(group.num_characters):
-        total += group.value(idx, m).conjugate() * group.value(idx, n)
-    return total
+    if n % group.modulus not in group._unit_logs:
+        return 0j
+    values = group._columns((m, n))
+    return complex(np.vdot(values[:, 0], values[:, 1]))

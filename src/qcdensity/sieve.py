@@ -4,7 +4,8 @@ An SpfTable stores the smallest prime factor of every n in 2..limit and
 derives from it: the sorted prime list, prime counts, and factorizations.
 build_spf_table makes it with one unmasked strided store per prime up to
 isqrt(limit), the largest prime first, and one scan of the entries left
-at 0, which marks the primes and is the table's prime list.
+at 0, which marks the primes and is the table's prime list; the primes it
+stores are those of the table it builds to isqrt(limit) the same way.
 Range counts have one backend, count_ranges(lo, hi) on a _PrimeCountOracle
 for one x: for every label at once, the primes with that label over the
 ranges lo[i] < p <= hi[i]. It is a plain lookup. It holds its counts as
@@ -494,16 +495,6 @@ def _class_oracle(table: SpfTable, x: int, modulus: int) -> _PrimeCountOracle:
     return _PrimeCountOracle(x, [(units, sums), (labels, _prime_steps(x, divisors))])
 
 
-def _small_primes(n: int) -> np.ndarray:
-    """The primes up to n, ascending, from a sieve of flags."""
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
-
-
 def _mark_primes(spf: np.ndarray) -> np.ndarray:
     """Set spf[n] = n at every n >= 2 that the sieve passes left at 0, the
     primes, and return them ascending as int64. One scan, a chunk at a
@@ -581,8 +572,11 @@ def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTa
     # every composite n has its smallest prime q at q*q <= n, so storing p
     # at p*p, p*p + p, ... for each p <= isqrt(limit), the largest first,
     # leaves q at n: q's pass is the last that reaches n. An odd p skips
-    # its even multiples, which the pass of 2, the last, covers.
-    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
+    # its even multiples, which the pass of 2, the last, covers. The p come
+    # from the table to isqrt(limit), built the same way.
+    root = math.isqrt(limit)
+    base = build_spf_table(root).primes.tolist() if root >= 2 else []
+    for p in reversed(base):
         spf[p * p :: p if p == 2 else 2 * p] = p
     primes = _mark_primes(spf)
     table = SpfTable(limit, spf)

@@ -305,6 +305,25 @@ def test_recursion_residual_is_bitwise_the_per_prime_tuple_sums(
             assert got == want, (residues, x)
 
 
+def test_error_term_adds_the_reduced_sums_in_ascending_class(table):
+    """The error term's level-(k-1) reciprocal sums, one per distinct class
+    taken out of the multiset, add left to right in ascending class: with
+    three or more terms float addition depends on that order, and verify
+    prints what it gives."""
+    modulus = 5
+    for k, x in itertools.product((3, 4), (1000, 10**4)):
+        for residues in itertools.combinations_with_replacement(range(1, modulus), k):
+            reduced = 0.0
+            for v in sorted(set(residues)):
+                rest = list(residues)
+                rest.remove(v)
+                child = ResidueConstraint(modulus, tuple(rest))
+                reduced += q.tuple_sums(table, x, k - 1, child).reciprocal_sum
+            sums = q.tuple_sums(table, x, k, ResidueConstraint(modulus, residues))
+            want = 4**k * sums.log_sum - x * k * 4 ** (k - 1) * reduced
+            assert sums.error_term == want, (residues, x)
+
+
 def test_recursion_requires_known_identity(table):
     with pytest.raises(ValueError):
         q.recursion_residual(table, "nope", 100, 1, ResidueConstraint(4, (1, 3)))

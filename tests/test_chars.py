@@ -127,9 +127,24 @@ def test_unit_value_matrix_rows_are_orthogonal(modulus):
     assert len(units) == phi
     gram = matrix @ matrix.conj().T
     assert np.allclose(gram, phi * np.eye(phi), atol=1e-9)
-    # columns follow the reported unit ordering
-    for j, unit in enumerate(units):
-        assert abs(matrix[0, j] - q.evaluate(group, 0, unit)) < 1e-12
+    # columns follow the reported unit ordering, and each entry is the value
+    # evaluate gives, bit for bit: both come from the one kernel
+    for i in range(phi):
+        for j, unit in enumerate(units):
+            assert matrix[i, j] == q.evaluate(group, i, unit)
+
+
+def test_orthogonality_sum_is_the_vdot_of_matrix_columns():
+    # the orthogonality suite sums np.vdot over the unit value matrix's
+    # columns; orthogonality_sum must give those sums exactly, not within a
+    # tolerance, for every unit pair of every modulus the suite checks
+    for modulus in range(1, 61):
+        group = q.build_character_group(modulus)
+        matrix, units = group.unit_value_matrix()
+        for i, m in enumerate(units):
+            for j, n in enumerate(units):
+                want = complex(np.vdot(matrix[:, i], matrix[:, j]))
+                assert q.orthogonality_sum(group, m, n) == want
 
 
 def test_character_sum_over_group_detects_one():
@@ -142,15 +157,20 @@ def test_character_sum_over_group_detects_one():
         assert abs(total - expected) < 1e-9
 
 
-def test_orthogonality_by_the_character_loop():
-    # order 2052 is over the value matrix's limit: the sum loops over the
-    # characters, one value at a time
+def test_orthogonality_over_the_matrix_limit():
+    # order 2052 is over the value matrix's limit, which guards only
+    # unit_value_matrix: the sum takes two columns of character values, as
+    # at every order, with no matrix
     group = q.build_character_group(2053)
     phi = group.group_order
     assert phi == 2052 > characters._TABLE_UNIT_LIMIT
     for m, n in [(1, 1), (2, 2), (2, 3), (5, 2052), (2, 2055), (1234, 17)]:
         expected = phi if (m - n) % 2053 == 0 else 0
         assert abs(q.orthogonality_sum(group, m, n) - expected) < 1e-9
+    for m in range(1, 2053):
+        for n in (1, 2, 2052, 2053):
+            expected = phi if m == n else 0
+            assert abs(q.orthogonality_sum(group, m, n) - expected) < 1e-9
     # a non-unit n
     assert abs(q.orthogonality_sum(group, 3, 2053)) < 1e-9
     with pytest.raises(ValueError, match="too large"):
