@@ -39,11 +39,14 @@ every prime up to there, and each checks it before it reads the rows.
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats visits only the
 rows whose sorted leading residues fit its multiset, looked up in the
-grouping of the multiset counts (_multiset_runs, one per (x, k, modulus,
-mode)), and weights each sorted tuple by its number of distinct orderings
-(k! over the factorials of its prime multiplicities), read off the runs
-of the leading primes. Counts and sums that are asked for again are
-memoised in the table's memo dict as well.
+grouping the multiset counts use (_multiset_runs), and weights each sorted
+tuple by its number of distinct orderings (k! over the factorials of its
+prime multiplicities), read off the runs of the leading primes. What it
+reads of the rows is built once per (x, k, modulus) for every multiset
+(_row_set), so a lone call's work does not grow with phi(modulus). Counts
+and sums that are asked for again are memoised in the table's memo dict
+as well, and the multiset count tables and row sets keep the grouping
+they were built from.
 """
 
 from __future__ import annotations
@@ -244,11 +247,10 @@ def _residue_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool)
     return _tuple_counts(table, x, k, strict, runs, oracle)
 
 
-@_table_memo
 def _multiset_runs(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
     """The rows of _tuple_rows grouped by the sorted residues mod modulus
-    of their leading primes (sieve._runs): the multiset count table and
-    _ordered_stats read it."""
+    of their leading primes (sieve._runs), for the multiset count table
+    and _row_set, each memoised with the grouping it was built from."""
     keys = _residue_keys(table, x, k, modulus, strict)
     keys.sort(axis=1)
     return _runs(keys)
@@ -263,10 +265,11 @@ def _multiset_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool
     return _tuple_counts(table, x, k, strict, runs, oracle)
 
 
-def _reductions(ms: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """{v: the sorted multiset ms less one v} for each distinct class v of
-    ms, in ascending v."""
-    return {v: ms[:i] + ms[i + 1 :] for i, v in enumerate(ms) if ms.index(v) == i}
+@functools.lru_cache(maxsize=4096)
+def _reductions(ms: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(v, the sorted multiset ms less one v) for each distinct class v of
+    ms, in ascending v; cached, as every multiset count and sum takes them."""
+    return tuple((v, ms[:i] + ms[i + 1 :]) for i, v in enumerate(ms) if ms.index(v) == i)
 
 
 def count_almost_primes(
@@ -294,7 +297,7 @@ def count_almost_primes(
     # a tuple matches when its sorted leading residues are the multiset less
     # one class v, which its last prime then takes
     return sum(
-        _lookup(counts, oracle, (*reduced, v)) for v, reduced in _reductions(ms).items()
+        _lookup(counts, oracle, (*reduced, v)) for v, reduced in _reductions(ms)
     )
 
 
@@ -334,6 +337,40 @@ def count_almost_primes_positional(
 
 
 @_table_memo
+def _row_set(table: SpfTable, x: int, k: int, modulus: int):
+    """The rows of _tuple_rows(x, k), repeats allowed, as _ordered_stats
+    reads them for every multiset mod modulus, built once, after the
+    coverage check: (the labelled prime index, the groups of
+    _multiset_runs, rows). rows holds one row per tuple row, in the
+    grouping's order: its place in enumeration order, its leading product
+    and weight, its last leading prime (0 when k = 1) and that prime's run
+    length, lo and hi, in the narrowest unsigned type that holds x and k!
+    (Python ints past 2^64). The weight is k! over the factorials of the
+    run lengths of the leading primes, which each prime's place in its run
+    (one more than the place of the prime before when they are equal)
+    multiplies up to.
+    """
+    _check_coverage(table, x, k)
+    order, groups = _multiset_runs(table, x, k, modulus, False)
+    leading, lo, hi = _tuple_rows(table, x, k, False)
+    # no entry exceeds x or k!
+    lead = leading[order].astype(np.min_scalar_type(max(x, math.factorial(k))))
+    rows = np.zeros((len(order), 7), dtype=lead.dtype)
+    rows[:, 0], rows[:, 5], rows[:, 6] = order, lo[order], hi[order]
+    # the products, and the factorials the weight divides k! by; a run
+    # place is 0 before the first leading prime
+    rows[:, 1:3] = 1
+    for j in range(k - 1):
+        rows[:, 4] *= lead[:, j] == lead[:, j - 1]
+        rows[:, 4] += 1
+        rows[:, 1] *= lead[:, j]
+        rows[:, 2] *= rows[:, 4]
+        rows[:, 3] = lead[:, j]
+    rows[:, 2] = math.factorial(k) // rows[:, 2]
+    return table.class_index(modulus), groups, rows
+
+
+@_table_memo
 def _ordered_stats(
     table: SpfTable,
     x: int,
@@ -346,40 +383,34 @@ def _ordered_stats(
 
     Each sorted tuple counts k! / prod(run length!) times, its runs those
     of the leading primes of its row, and the last prime's. The rows that
-    match are looked up in _multiset_runs, so only they are visited.
+    match are the groups of _row_set for the multiset less one class, so
+    only they are read.
     """
-    _check_coverage(table, x, k)
-    cidx = table.class_index(modulus)
-    leading, los, his = _tuple_rows(table, x, k, False)
-    order, groups = _multiset_runs(table, x, k, modulus, False)
+    cidx, groups, rows = _row_set(table, x, k, modulus)
     # a row matches when its sorted leading residues are the multiset less
-    # one class v, which the last prime then takes; a run's rows ascend
+    # one class v, which the last prime then takes; sorted back into
+    # enumeration order by the row's place
     matched = sorted(
-        (i, v)
-        for v, reduced in _reductions(residues).items()
-        for i in order[slice(*groups.get(reduced, (0, 0)))].tolist()
+        (*row, v)
+        for v, reduced in _reductions(residues)
+        if (span := groups.get(reduced))
+        for row in rows[span[0] : span[1]].tolist()
     )
-    k_fact, fact = math.factorial(k), math.factorial
     count = 0
     # the float sums accumulate here, in enumeration order, so they round
     # as one running total would; per-level subtotals would move the last
     # bits of the residuals that verify prints
     log_sum = recip_sum = 0.0
-    for i, v in matched:
-        lead = leading[i].tolist()
-        lo, hi = int(los[i]), int(his[i])
-        prod = math.prod(lead)
-        # lead is sorted, so a prime's count in it is the length of its run
-        weight = k_fact // math.prod(fact(lead.count(p)) for p in set(lead))
+    for _, prod, weight, last, run, lo, hi, v in matched:
         # repeating the last leading prime extends its run; lo is that
         # prime minus one, so the class range after it starts at the prime
-        if lead and lead[-1] <= hi and lead[-1] % modulus == v:
-            w = weight // (lead.count(lead[-1]) + 1)
-            n_val = prod * lead[-1]
+        if last and last <= hi and last % modulus == v:
+            w = weight // (run + 1)
+            n_val = prod * last
             count += w
             log_sum += w * math.log(n_val)
             recip_sum += w / n_val
-            lo = lead[-1]
+            lo = last
         cnt, logs, recips = cidx.stats(v, lo, hi)
         if cnt:
             count += weight * cnt
@@ -426,7 +457,7 @@ def _reduced_reciprocal_sum(
     if k == 1:
         return 1.0
     total = 0.0
-    for reduced in _reductions(ms).values():
+    for _, reduced in _reductions(ms):
         total += _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
     return total
 
@@ -523,6 +554,97 @@ def _recursion_term(
     return logs, _reduced_reciprocal_sum(table, xf, k, modulus, reduced)
 
 
+def _recursion_residuals(
+    table: SpfTable,
+    identity: str,
+    x: float,
+    k: int,
+    modulus: int,
+    multisets: list[tuple[int, ...]],
+) -> np.ndarray:
+    """recursion_residual for each multiset of the list at once, each a
+    sorted tuple of units in 0..modulus-1, as ResidueConstraint.multiset
+    gives it.
+
+    The right-hand side at x/p depends on p only through floor(x/p) and
+    the multiset less the class of p (and, for the error term, the exact
+    x/p, applied here): each (floor(x/p), reduced multiset) that some
+    multiset reads is evaluated once, for them all. Row by multiset and
+    column by prime p <= x, in p order, the parts of tuple_sums make one
+    array, 0.0 at a prime whose class is not in the multiset, and one
+    left-to-right np.add.accumulate along each row adds them as a loop
+    over the multiset's own primes would: adding 0.0 changes no bit, while
+    np.add.reduce sums pairwise and builtin sum, from Python 3.12,
+    compensated, and either would move the last bits of the residuals that
+    verify prints.
+    """
+    if identity not in ("log_sum", "reciprocal_sum", "error_term"):
+        raise ValueError(f"unknown identity {identity!r}")
+    if not 2 <= x <= IDENTITY_X_LIMIT:
+        raise ValueError(f"x must be in 2..{IDENTITY_X_LIMIT}")
+    if not 1 <= k <= IDENTITY_K_LIMIT:
+        raise ValueError(f"k must be in 1..{IDENTITY_K_LIMIT}")
+    size = k if identity == "reciprocal_sum" else k + 1
+    if any(len(ms) != size for ms in multisets):
+        raise ValueError(f"identity {identity} needs a constraint of length {size}")
+    lhs = np.array([
+        getattr(tuple_sums(table, x, size, ResidueConstraint(modulus, ms)), identity)
+        for ms in multisets
+    ])
+    if identity != "reciprocal_sum":
+        lhs *= k
+    phi = euler_phi(modulus)
+    xf = math.floor(x)
+    primes = table.primes[: prime_count(table, xf)]
+    xp = x / primes
+    keys, inverse = np.unique(
+        np.floor(xp).astype(np.int64) * modulus + primes % modulus, return_inverse=True
+    )
+    key_floors, key_classes = divmod(keys, modulus)
+    # the reduced multiset each multiset (row) reads at each class (column),
+    # by its number in `reduced`; -1 where the class is not in the multiset
+    reduced = {}
+    slots = np.full((len(multisets), modulus), -1, dtype=np.int32)
+    for row, ms in enumerate(multisets):
+        for v, rest in _reductions(ms):
+            slots[row, v] = reduced.setdefault(rest, len(reduced))
+    reads = slots[:, key_classes]
+    read = reads >= 0
+    pairs, which = np.unique(
+        (key_floors * len(reduced) + reads)[read], return_inverse=True
+    )
+    rests = list(reduced)
+    terms = [
+        _recursion_term(table, identity, xq, k, modulus, rests[r])
+        for xq, r in zip(*(part.tolist() for part in divmod(pairs, len(reduced))))
+    ]
+    # the term each multiset reads at each prime, by its number in terms;
+    # the 0.0 past them where it reads none
+    at = np.full(reads.shape, len(terms), dtype=np.int32)
+    at[read] = which
+    at = at[:, inverse]
+    if identity == "error_term":
+        logs, reduced_recips = np.array([*terms, (0.0, 0.0)]).T
+        # tuple_sums' error term at x/p, each product taken in place
+        parts = logs[at]
+        parts *= phi**k
+        rest = reduced_recips[at]
+        rest *= xp * k * phi ** (k - 1)
+        parts -= rest
+        del rest
+    else:
+        parts = np.array([*terms, 0.0])[at]
+        if identity == "reciprocal_sum":
+            parts /= primes
+    del at
+    rhs = np.add.accumulate(parts, axis=1, out=parts)[:, -1]
+    if identity == "log_sum":
+        rhs *= k + 1
+    elif identity == "error_term":
+        rhs *= (k + 1) * phi
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+
+
 def recursion_residual(
     table: SpfTable,
     identity: str,
@@ -538,66 +660,11 @@ def recursion_residual(
     L recursion with a 1/p factor, L_0 = 1), or "error_term" (the f
     recursion, which carries a phi(N) factor instead of the indicator's
     normalization). The constraint has k+1 entries for log_sum/error_term
-    and k entries for reciprocal_sum.
+    and k entries for reciprocal_sum. This is the one-multiset case of
+    _recursion_residuals, which verify calls for a whole grid of them.
     """
-    if identity not in ("log_sum", "reciprocal_sum", "error_term"):
-        raise ValueError(f"unknown identity {identity!r}")
-    if not 2 <= x <= IDENTITY_X_LIMIT:
-        raise ValueError(f"x must be in 2..{IDENTITY_X_LIMIT}")
-    if not 1 <= k <= IDENTITY_K_LIMIT:
-        raise ValueError(f"k must be in 1..{IDENTITY_K_LIMIT}")
-    size = k if identity == "reciprocal_sum" else k + 1
-    if constraint.k != size:
-        raise ValueError(f"identity {identity} needs a constraint of length {size}")
-    n_mod = constraint.modulus
-    phi = euler_phi(n_mod)
     ms = constraint.multiset()
-    xf = math.floor(x)
-    reductions = _reductions(ms)
-
-    if identity == "log_sum":
-        lhs = k * tuple_sums(table, x, k + 1, constraint).log_sum
-    elif identity == "reciprocal_sum":
-        lhs = tuple_sums(table, x, k, constraint).reciprocal_sum
-    else:
-        lhs = k * tuple_sums(table, x, k + 1, constraint).error_term
-
-    # the right-hand side at x/p depends on p only through floor(x/p) and
-    # the reduced multiset (and, for the error term, the exact x/p, applied
-    # here): the primes are grouped by (floor(x/p), class), each group's
-    # term is evaluated once, and the same float parts as tuple_sums gives
-    # are added left to right in p order by np.add.accumulate (np.add.reduce
-    # sums pairwise and builtin sum, from Python 3.12, compensated: either
-    # would move the last bits of the residuals that verify prints)
-    primes = table.primes[: prime_count(table, xf)]
-    classes = primes % n_mod
-    in_multiset = np.zeros(n_mod, dtype=bool)
-    in_multiset[list(reductions)] = True
-    keep = in_multiset[classes]
-    primes, classes = primes[keep], classes[keep]
-    xp = x / primes
-    floors = np.floor(xp).astype(np.int64)
-    keys, inverse = np.unique(floors * n_mod + classes, return_inverse=True)
-    key_floors, key_classes = divmod(keys, n_mod)
-    terms = [
-        _recursion_term(table, identity, xq, k, n_mod, reductions[v])
-        for xq, v in zip(key_floors.tolist(), key_classes.tolist())
-    ]
-    if identity == "error_term":
-        logs, reduced_recips = np.array(terms, dtype=np.float64).reshape(-1, 2).T
-        phi_k, phi_k1 = phi**k, phi ** (k - 1)
-        parts = phi_k * logs[inverse] - xp * k * phi_k1 * reduced_recips[inverse]
-    else:
-        parts = np.array(terms, dtype=np.float64)[inverse]
-        if identity == "reciprocal_sum":
-            parts /= primes
-    rhs = float(np.add.accumulate(parts)[-1]) if parts.size else 0.0
-    if identity == "log_sum":
-        rhs *= k + 1
-    elif identity == "error_term":
-        rhs *= (k + 1) * phi
-
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    return float(_recursion_residuals(table, identity, x, k, constraint.modulus, [ms])[0])
 
 
 def trend_ratios(

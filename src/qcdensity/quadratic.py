@@ -3,13 +3,15 @@
 Two independent routes: a direct scan over all residues, and the
 multiplicative formula prod(1 + (D/p)) over the primes of n, which is valid
 exactly when n is odd, squarefree and coprime to the discriminant D. The
-scan has one kernel, _root_counts, which evaluates f(x) once for many
-moduli and finds the roots of each modulus n by one floor division by n;
-count_roots_bruteforce calls it for a single n. The formula has one kernel
-too, _formula_counts, which forms the product for many moduli at once and
-calls kronecker once per distinct prime; count_roots_formula validates a
-single n and calls it, and verify's quadratic suite calls it once per form
-for all of its moduli.
+scan has one kernel, _root_count_grid, which evaluates f(x) once for many
+forms and moduli, x-major, and finds the roots of every form modulo n by
+one floor division of one contiguous prefix by n; _root_counts is its
+one-form case, which count_roots_bruteforce calls for a single n, and
+verify's quadratic suite calls the kernel once for all of its forms and
+moduli. The formula has one kernel too, _formula_counts, which forms the
+product for many moduli at once and calls kronecker once per distinct
+prime; count_roots_formula validates a single n and calls it, and verify's
+quadratic suite calls it once per form for all of its moduli.
 """
 
 from __future__ import annotations
@@ -37,38 +39,50 @@ class QuadraticForm:
         return self.b * self.b - 4 * self.c
 
 
-def _root_counts(form: QuadraticForm, moduli: list[int]) -> list[int]:
-    """For each n in moduli, the number of x in 0..n-1 with
-    x^2 + bx + c = 0 (mod n), by full scan.
+def _root_count_grid(
+    forms: tuple[QuadraticForm, ...], moduli: list[int]
+) -> np.ndarray:
+    """The number of x in 0..n-1 with x^2 + bx + c = 0 (mod n), by full
+    scan, for each n in moduli (rows) and each form (columns).
 
-    f(x) is evaluated once, exactly, for 0 <= x < max(moduli), and each n
-    scans its prefix: v = f(x) is a root when q * n == v for q = v // n, a
-    floor division by the scalar n, which numpy does by multiplication. The
-    values take int32 when they fit and int64 otherwise; a form and moduli
-    whose values would not fit int64 raise ValueError rather than wrap.
+    f(x) is evaluated once, exactly, for 0 <= x < max(moduli) and every
+    form, x-major, so the values of every form at x < n are one contiguous
+    prefix, and each n scans its prefix: v = f(x) is a root when
+    q * n == v for q = v // n, one floor division of the prefix by the
+    scalar n, which numpy does by multiplication. The values take int32
+    when they fit and int64 otherwise; forms and moduli whose values would
+    not fit int64 raise ValueError rather than wrap.
     """
     if not moduli or min(moduli) < 1:
         raise ValueError("moduli must be positive")
-    m = max(moduli)
+    m, width = max(moduli), len(forms)
     # bounds |x + b|, |x + b| * x and |(x + b) * x + c| for every scanned x;
     # below a negative f(x) it leaves m (m - 1) spare, more than the n - 1
     # by which q * n can fall below f(x), so q * n is exact too
-    bound = m * (m - 1 + abs(form.b)) + abs(form.c)
+    bound = m * (m - 1 + max(abs(f.b) for f in forms)) + max(abs(f.c) for f in forms)
     if bound >= 2**63:
         raise ValueError("f(x) over the scanned range exceeds int64")
     dtype = np.int32 if bound < 2**31 else np.int64
-    x = np.arange(m, dtype=dtype)
-    vals = x + dtype(form.b)
+    x = np.arange(m, dtype=dtype)[:, None]
+    vals = x + np.array([f.b for f in forms], dtype=dtype)
     vals *= x
-    vals += dtype(form.c)
+    vals += np.array([f.c for f in forms], dtype=dtype)
+    vals = vals.ravel()
     quotients = np.empty_like(vals)
-    counts = []
-    for n in moduli:
-        v, q = vals[:n], quotients[:n]
+    counts = np.empty((len(moduli), width), dtype=np.int64)
+    for row, n in enumerate(moduli):
+        v, q = vals[: n * width], quotients[: n * width]
         np.floor_divide(v, n, out=q)
         q *= n
-        counts.append(int(np.count_nonzero(q == v)))
+        # the roots are few: each one's position, x * width plus its
+        # form's column, counts it
+        counts[row] = np.bincount((q == v).nonzero()[0] % width, minlength=width)
     return counts
+
+
+def _root_counts(form: QuadraticForm, moduli: list[int]) -> list[int]:
+    """_root_count_grid for the one form: its count at each n in moduli."""
+    return _root_count_grid((form,), moduli)[:, 0].tolist()
 
 
 def count_roots_bruteforce(form: QuadraticForm, n: int) -> int:

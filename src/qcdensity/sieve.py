@@ -187,8 +187,9 @@ class _ClassIndex:
     """
 
     def __init__(self, primes: np.ndarray, labels: np.ndarray):
-        # (label,) -> (first, one past last) position of its group
-        order, self._groups = _runs(labels[:, None])
+        order, groups = _runs(labels[:, None])
+        # label -> (first, one past last) position of its group
+        self._groups = {label: run for (label,), run in groups.items()}
         self._primes = primes[order]
 
     @cached_property
@@ -201,12 +202,12 @@ class _ClassIndex:
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""
-        i0, i1 = self._groups.get((label,), (0, 0))
-        seg = self._primes[i0:i1]
-        j0 = i0 + int(seg.searchsorted(lo, side="right"))
-        j1 = i0 + int(seg.searchsorted(hi, side="right"))
+        i0, i1 = self._groups.get(label, (0, 0))
+        j0, j1 = self._primes[i0:i1].searchsorted((lo, hi), side="right").tolist()
         if j1 <= j0:
             return 0, 0.0, 0.0
+        j0 += i0
+        j1 += i0
         return (
             j1 - j0,
             float(np.add.reduce(self._logs[j0:j1])),

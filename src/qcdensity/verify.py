@@ -13,19 +13,22 @@ of division by the table's smallest prime factors (_factor_rounds, which
 the sandwich suite's reference counts share), and takes the squarefree and
 coprime masks and the formula counts of all of a form's moduli as arrays:
 the formula is one quadratic._formula_counts call, which calls kronecker
-once per (D, p); the scan counts each form's roots with one evaluation of
-f(x) for all of its moduli (quadratic._root_counts) and one floor division
-per modulus. Each form reports its first modulus where the two counts
-disagree. The full 2^k root count is the formula's count when every (D/p)
-is +1, so it needs no check of its own.
+once per (D, p); the scan is one quadratic._root_count_grid call for all
+six forms and every odd squarefree modulus, which evaluates f(x) once,
+x-major, and divides each modulus's prefix by it once. Each form reports
+its first modulus where the two counts disagree. The full 2^k root count
+is the formula's count when every (D/p) is +1, so it needs no check of its
+own.
 
 The orthogonality errors and the recursion residuals printed here are
 rounding noise, pinned byte for byte (qcbench/pins.json and the tests), so
 each float is summed from the same operands in the same order as the plain
-definition: one np.vdot per unit pair, not a Gram matrix, whose matmul sums
-in another order; and, in almostprime.recursion_residual, a left-to-right
-np.add.accumulate, not builtin sum, which is compensated from Python 3.12
-on.
+definition: one np.vdot per unit pair m <= n, not a Gram matrix, whose
+matmul sums in another order (|vdot(b, a)| is |vdot(a, b)| bit for bit, so
+the pair n < m would add nothing); and, in
+almostprime._recursion_residuals, a left-to-right np.add.accumulate along
+each multiset's row, not builtin sum, which is compensated from Python
+3.12 on.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ import numpy as np
 from .almostprime import (
     CountMode,
     ResidueConstraint,
+    _recursion_residuals,
     count_almost_primes,
     ordered_tuple_count,
-    recursion_residual,
 )
 from .arith import _units
 from .characters import build_character_group, orthogonality_sum
-from .quadratic import QuadraticForm, _formula_counts, _root_counts
+from .quadratic import QuadraticForm, _formula_counts, _root_count_grid
 from .residues import class_count, residue_classes_constructive, residue_classes_direct
 from .sieve import SpfTable, prime_count
 
@@ -83,41 +86,48 @@ def check_orthogonality(max_modulus: int = 60) -> list[CheckResult]:
     for every modulus up to max_modulus and every unit pair.
 
     Each pair's sum is one np.vdot of two columns of the unit-value matrix,
-    as orthogonality_sum takes it, never a Gram matrix (see above); a
-    non-unit second argument goes through orthogonality_sum itself."""
+    as orthogonality_sum takes it, never a Gram matrix (see above), and only
+    for n at or after m: |vdot(b, a)| is |vdot(a, b)| bit for bit, and the
+    pair before its mirror in the scan is the upper one. A non-unit second
+    argument goes through orthogonality_sum itself."""
+    # looked up once for the suite's 16,000 calls
+    vdot = np.vdot
     results = []
     for n_mod in range(1, max_modulus + 1):
         group = build_character_group(n_mod)
         phi = group.group_order
         matrix, units = group.unit_value_matrix()
         columns = list(matrix.T)
-        worst = 0.0
-        bad = None
-        for i, (m, col_m) in enumerate(zip(units, columns)):
-            sums = [complex(np.vdot(col_m, col_n)) for col_n in columns]
-            sums[i] -= phi
-            errors = [abs(s) for s in sums]
-            # the first pair of the row at its largest error, as a scan
-            # that keeps only strictly larger errors would report
-            err = max(errors)
-            if err > worst:
-                worst, bad = err, (m, units[errors.index(err)])
-            if n_mod > 1:
-                # non-unit second argument must give exactly 0
-                err = abs(orthogonality_sum(group, m, 0))
-                if err > worst:
-                    worst, bad = err, (m, 0)
+        # row m, column n: the sum for units m <= n, less phi where m == n
+        sums = np.zeros((phi, phi), dtype=complex)
+        places = np.arange(phi)
+        sums[places[:, None] <= places] = [
+            vdot(col_m, col_n) for i, col_m in enumerate(columns) for col_n in columns[i:]
+        ]
+        sums[places, places] -= phi
+        # row m: the errors at each unit n >= m (0 before it), then at the
+        # non-unit 0; the first largest error in this order is the first a
+        # scan of every pair that keeps only strictly larger errors would
+        # report
+        errors = np.zeros((phi, phi + 1))
+        errors[:, :phi] = np.abs(sums)
+        if n_mod > 1:
+            errors[:, phi] = [abs(orthogonality_sum(group, m, 0)) for m in units]
+        at = int(errors.argmax())
+        worst = float(errors.flat[at])
+        m, n = divmod(at, phi + 1)
         passed = worst < ORTHOGONALITY_TOLERANCE
         detail = f"phi={phi} max error {worst:.2e}"
         if not passed:
-            detail += f" at pair {bad}"
+            detail += f" at pair {(units[m], units[n] if n < phi else 0)}"
         results.append(CheckResult("orthogonality", f"N={n_mod}", passed, detail))
     return results
 
 
 def check_recursions(table: SpfTable, x_max: int = 10**4) -> list[CheckResult]:
     """Both sides of the three tuple-sum recursions evaluated independently;
-    the identities are exact, so residuals must sit at float-noise level."""
+    the identities are exact, so residuals must sit at float-noise level.
+    Each (identity, N, k, x) takes the residuals of every multiset at once."""
     xs = [x for x in (100, 1000, 10**4) if x <= x_max]
     if not xs:
         raise ValueError("x_max must be at least 100 for the recursion grid")
@@ -127,28 +137,23 @@ def check_recursions(table: SpfTable, x_max: int = 10**4) -> list[CheckResult]:
         for identity in ("log_sum", "reciprocal_sum", "error_term"):
             for k in (1, 2):
                 size = k if identity == "reciprocal_sum" else k + 1
-                worst = 0.0
-                bad = None
-                tuples = 0
-                for ms in itertools.combinations_with_replacement(units, size):
-                    constraint = ResidueConstraint(n_mod, ms)
-                    for x in xs:
-                        r = recursion_residual(table, identity, x, k, constraint)
-                        tuples += 1
-                        if r > worst:
-                            worst, bad = r, (x, ms)
+                multisets = list(itertools.combinations_with_replacement(units, size))
+                # a row per multiset and a column per x, so that the first
+                # largest residual is the first a multiset-major scan of the
+                # cases that keeps only strictly larger ones would report
+                residuals = np.column_stack([
+                    _recursion_residuals(table, identity, x, k, n_mod, multisets)
+                    for x in xs
+                ])
+                at = int(residuals.argmax())
+                worst = float(residuals.flat[at])
                 passed = worst < RESIDUAL_TOLERANCE
-                detail = f"max residual {worst:.2e} over {tuples} cases"
+                detail = f"max residual {worst:.2e} over {residuals.size} cases"
                 if not passed:
-                    detail += f" at x={bad[0]} m={bad[1]}"
-                results.append(
-                    CheckResult(
-                        "recursions",
-                        f"{identity} N={n_mod} k={k}",
-                        passed,
-                        detail,
-                    )
-                )
+                    row, column = divmod(at, len(xs))
+                    detail += f" at x={xs[column]} m={multisets[row]}"
+                name = f"{identity} N={n_mod} k={k}"
+                results.append(CheckResult("recursions", name, passed, detail))
     return results
 
 
@@ -239,19 +244,22 @@ def _factor_rounds(table: SpfTable, numbers: np.ndarray) -> np.ndarray:
 def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
     modulus coprime to the discriminant. Every odd n <= n_max is factored
-    once, for every form, by one pass of _factor_rounds. Each form's scan
-    evaluates f(x) once, for all of its moduli, and its formula is one
-    _formula_counts call over them, which takes (D/p) once per prime."""
+    once, for every form, by one pass of _factor_rounds. The scan is one
+    _root_count_grid call for every form and odd squarefree modulus, and each
+    form's formula one _formula_counts call over its moduli, which takes
+    (D/p) once per prime."""
     n_max = min(n_max, table.limit)
     odd = np.arange(1, n_max + 1, 2)
     rounds = _factor_rounds(table, odd)
     squarefree = ~((rounds[1:] == rounds[:-1]) & (rounds[1:] > 1)).any(axis=0)
+    scans = _root_count_grid(QUADRATIC_FORMS, odd[squarefree].tolist())
     results = []
-    for form in QUADRATIC_FORMS:
+    for column, form in enumerate(QUADRATIC_FORMS):
         d = form.discriminant
-        kept = np.flatnonzero(squarefree & (np.gcd(odd, d) == 1))
+        coprime = np.gcd(odd[squarefree], d) == 1
+        kept = np.flatnonzero(squarefree)[coprime]
         moduli = odd[kept]
-        scan = np.array(_root_counts(form, moduli.tolist()))
+        scan = scans[coprime, column]
         formula = _formula_counts(d, rounds[:, kept].T)
         problem = None
         if (bad := np.flatnonzero(formula != scan)).size:

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, ResidueConstraint
+from qcdensity import CountMode, ResidueConstraint, sieve
 
 
 def _scan_count(table, x, k, constraint, mode):
@@ -322,6 +322,48 @@ def test_error_term_adds_the_reduced_sums_in_ascending_class(table):
             sums = q.tuple_sums(table, x, k, ResidueConstraint(modulus, residues))
             want = 4**k * sums.log_sum - x * k * 4 ** (k - 1) * reduced
             assert sums.error_term == want, (residues, x)
+
+
+# _ClassIndex.stats calls of one lone public call on a fresh table, at
+# N = 1009, x = 10^4 and the classes of the smallest primes, counted before
+# the recursion grids were batched: a pass over every class would make
+# about phi(1009) = 1008 of them per row
+LONE_CALL_STATS = {
+    ("ordered_tuple_count", 2): 2,
+    ("tuple_sums", 2): 4,
+    ("log_sum", 2): 15,
+    ("reciprocal_sum", 2): 6,
+    ("error_term", 2): 21,
+    ("ordered_tuple_count", 3): 3,
+    ("tuple_sums", 3): 9,
+    ("log_sum", 3): 28,
+    ("reciprocal_sum", 3): 15,
+    ("error_term", 3): 52,
+}
+
+
+@pytest.mark.parametrize("call,k", sorted(LONE_CALL_STATS))
+def test_lone_calls_read_no_more_class_ranges(monkeypatch, call, k):
+    """A lone call's work does not grow with phi(N): it reads no more class
+    ranges than it did before the batching, whose shared row data is built
+    per (x, k, N), not per class."""
+    calls = []
+    stats = sieve._ClassIndex.stats
+
+    def counted(self, label, lo, hi):
+        calls.append(label)
+        return stats(self, label, lo, hi)
+
+    monkeypatch.setattr(sieve._ClassIndex, "stats", counted)
+    table = q.build_spf_table(10**4)
+    classes = (2, 3, 5, 7)
+    if call in ("ordered_tuple_count", "tuple_sums"):
+        getattr(q, call)(table, 10**4, k, ResidueConstraint(1009, classes[:k]))
+    else:
+        size = k if call == "reciprocal_sum" else k + 1
+        constraint = ResidueConstraint(1009, classes[:size])
+        q.recursion_residual(table, call, 10**4, k, constraint)
+    assert 0 < len(calls) <= LONE_CALL_STATS[call, k]
 
 
 def test_recursion_requires_known_identity(table):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import qcdensity as q
 from qcdensity import FactoredInteger, QuadraticForm
-from qcdensity.quadratic import _root_counts
+from qcdensity import quadratic
+from qcdensity.quadratic import _root_count_grid, _root_counts
 
 FORMS = (
     QuadraticForm(1, -1),
@@ -185,3 +186,41 @@ def test_scan_near_the_edges_for_negative_c(edge, b):
         # past the int64 guard it refuses
         with pytest.raises(ValueError):
             _root_counts(QuadraticForm(b, c - 105), moduli)
+
+
+# the verify suite's forms, then forms with b < 0 and with f(x) < 0 at small x
+GRID_FORMS = (*FORMS, QuadraticForm(-3, 1), QuadraticForm(-1, -5), QuadraticForm(2, -7))
+
+
+def test_multi_form_scan_matches_each_form():
+    """One scan of every form at every odd n <= 600, column by column,
+    against count_roots_bruteforce and a plain scan in Python."""
+    moduli = list(range(1, 601, 2))
+    grid = _root_count_grid(GRID_FORMS, moduli)
+    assert grid.shape == (len(moduli), len(GRID_FORMS))
+    for column, form in enumerate(GRID_FORMS):
+        want = [q.count_roots_bruteforce(form, n) for n in moduli]
+        assert grid[:, column].tolist() == want
+        assert want == [_scan(form.b, form.c, n) for n in moduli]
+
+
+def test_multi_form_scan_on_the_int64_path():
+    """c = +-2^40 puts every form's values past int32."""
+    forms = (QuadraticForm(1, -1), QuadraticForm(-7, 2**40), QuadraticForm(3, -(2**40)))
+    moduli = [1, 3, 35, 209, 997, 1000]
+    grid = _root_count_grid(forms, moduli)
+    for column, form in enumerate(forms):
+        assert grid[:, column].tolist() == [_scan(form.b, form.c, n) for n in moduli]
+
+
+def test_bruteforce_is_the_one_form_scan(monkeypatch):
+    calls = []
+    grid = quadratic._root_count_grid
+
+    def spy(forms, moduli):
+        calls.append((forms, moduli))
+        return grid(forms, moduli)
+
+    monkeypatch.setattr(quadratic, "_root_count_grid", spy)
+    assert q.count_roots_bruteforce(QuadraticForm(-1, -5), 19) == _scan(-1, -5, 19)
+    assert calls == [((QuadraticForm(18, 14),), [19])]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qcdensity as q
-from qcdensity import cli, quadratic, verify
+from qcdensity import characters, cli, quadratic, verify
 from qcdensity.residues import ResidueClassSet
 from qcdensity.verify import (
     RESIDUE_DISCRIMINANTS,
@@ -129,13 +129,13 @@ def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch)
     """A scan off by one at n = 15 fails exactly the forms whose moduli
     include 15 (D = 13 and D = -7), each at n = 15."""
     expected = [r.detail for r in verify.check_quadratic(table, 500)]
-    root_counts = verify._root_counts
+    root_count_grid = verify._root_count_grid
 
-    def off_at_15(form, moduli):
-        counts = root_counts(form, moduli)
-        return [c + (n == 15) for n, c in zip(moduli, counts)]
+    def off_at_15(forms, moduli):
+        counts = root_count_grid(forms, moduli)
+        return counts + (np.array(moduli) == 15)[:, None]
 
-    monkeypatch.setattr(verify, "_root_counts", off_at_15)
+    monkeypatch.setattr(verify, "_root_count_grid", off_at_15)
     results = verify.check_quadratic(table, 500)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["D=13", "D=-7"]
@@ -268,16 +268,64 @@ def test_orthogonality_reports_a_wrong_non_unit_sum(monkeypatch, capsys):
     assert failed == {"N=12": "phi=4 max error 1.00e+00 at pair (1, 0)"}
 
 
+def test_unit_pair_sums_are_symmetric_in_absolute_value():
+    """The orthogonality suite takes each unit pair's sum once, m <= n: it
+    rests on |vdot(b, a)| == |vdot(a, b)| bit for bit, for every unit pair
+    of every modulus it checks."""
+    for n_mod in range(1, 61):
+        matrix, units = q.build_character_group(n_mod).unit_value_matrix()
+        for i in range(len(units)):
+            for j in range(i):
+                a, b = matrix[:, i], matrix[:, j]
+                assert abs(np.vdot(a, b)) == abs(np.vdot(b, a)), (n_mod, i, j)
+
+
+def _full_scan_detail(matrix, units):
+    """The orthogonality detail of a scan of every ordered unit pair that
+    keeps only strictly larger errors."""
+    phi = len(units)
+    worst, bad = 0.0, None
+    for i in range(phi):
+        for j in range(phi):
+            err = abs(complex(np.vdot(matrix[:, i], matrix[:, j])) - phi * (i == j))
+            if err > worst:
+                worst, bad = err, (units[i], units[j])
+    return f"phi={phi} max error {worst:.2e} at pair {bad}"
+
+
+def test_orthogonality_names_a_faulty_pair_as_the_full_scan_would(monkeypatch, capsys):
+    """Unit 7's column mod 20 takes half of unit 3's: the pair fails in both
+    orders, and the upper-triangle scan names the pair the full scan of
+    every ordered pair names first."""
+    unit_value_matrix = characters.CharacterGroup.unit_value_matrix
+
+    def mixed_mod_20(group):
+        matrix, units = unit_value_matrix(group)
+        if group.modulus == 20:
+            i, j = units.index(7), units.index(3)
+            assert i > j
+            matrix[:, i] += 0.5 * matrix[:, j]
+        return matrix, units
+
+    monkeypatch.setattr(characters.CharacterGroup, "unit_value_matrix", mixed_mod_20)
+    want = _full_scan_detail(*q.build_character_group(20).unit_value_matrix())
+    assert want == "phi=8 max error 4.00e+00 at pair (3, 7)"
+    failed = _cli_failures(monkeypatch, capsys, "orthogonality")
+    assert failed == {"N=20": want}
+
+
 def test_recursions_report_the_case_of_the_largest_residual(monkeypatch, capsys):
-    recursion_residual = verify.recursion_residual
+    recursion_residuals = verify._recursion_residuals
     bad = ("log_sum", 1000, 1, q.ResidueConstraint(4, (1, 3)))
 
-    def one_bad_case(table, identity, x, k, constraint):
-        if (identity, x, k, constraint) == bad:
-            return 1.0
-        return recursion_residual(table, identity, x, k, constraint)
+    def one_bad_case(table, identity, x, k, modulus, multisets):
+        residuals = recursion_residuals(table, identity, x, k, modulus, multisets)
+        for i, ms in enumerate(multisets):
+            if (identity, x, k, q.ResidueConstraint(modulus, ms)) == bad:
+                residuals[i] = 1.0
+        return residuals
 
-    monkeypatch.setattr(verify, "recursion_residual", one_bad_case)
+    monkeypatch.setattr(verify, "_recursion_residuals", one_bad_case)
     failed = _cli_failures(monkeypatch, capsys, "recursions")
     assert failed == {
         "log_sum N=4 k=1": "max residual 1.00e+00 over 9 cases at x=1000 m=(1, 3)"
