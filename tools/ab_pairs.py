@@ -4,17 +4,19 @@ runs, and report each end-to-end metric's medians, quartiles and pairs won.
 Usage, from anywhere:
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload verify-all \
-        --pairs 10 --seeds 0,1 --seconds 10
+        --pairs 10 --seeds 0,1
 
 Pair i runs ``python3 qcbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, the parent first in even pairs and the
 change first in odd ones, with S the seeds taken in turn. Each run's last
-stdout line is the benchmark's JSON record. The metric names and whether
-lower or higher is better come from the change's BENCHMARK.json. A pair is
-won by the side with the better value; a tie counts for neither. A run that
-fails or reports failed operations stops the comparison. The last stdout
-line is the whole comparison as JSON: every pair's metrics and, per
-metric, each side's quartiles and the pairs the change won.
+stdout line is the benchmark's JSON record. The run length T (its
+run_seconds), the metric names and whether lower or higher is better come
+from the change's BENCHMARK.json, so both sides run as long as the
+benchmark sets. A pair is won by the side with the better value; a tie
+counts for neither. A run that fails or reports failed operations stops
+the comparison. The last stdout line is the whole comparison as JSON:
+every pair's metrics and, per metric, each side's quartiles and the pairs
+the change won.
 
 Nothing is written here or in either checkout beyond what run.py writes.
 """
@@ -65,13 +67,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", default="0,1")
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
 
     seeds = [int(s) for s in args.seeds.split(",")]
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
@@ -79,13 +81,13 @@ def main(argv: list[str]) -> int:
         seed = seeds[i % len(seeds)]
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+            runs[side].append(run_once(sides[side], args.workload, seed, seconds))
         line = "  ".join(
             f"{side} {runs[side][-1]['wall_s']:.4f}" for side in ("parent", "change")
         )
         print(f"pair {i} seed {seed}: wall_s {line}", flush=True)
 
-    print(f"{args.workload}, {args.pairs} pairs, seeds {seeds}, {args.seconds} s a run")
+    print(f"{args.workload}, {args.pairs} pairs, seeds {seeds}, {seconds} s a run")
     print(f"{'metric':<12} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} won")
     summary = {}
     for name, direction in better.items():
@@ -105,7 +107,7 @@ def main(argv: list[str]) -> int:
     # the whole comparison as one JSON line, the last line of stdout
     record = {
         "workload": args.workload,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": [
             {
                 "pair": i,
