@@ -38,15 +38,13 @@ every prime up to there, and each checks it before it reads the rows.
 
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats visits only the
-rows whose sorted leading residues fit its multiset, looked up in the
-grouping the multiset counts use (_multiset_runs), and weights each sorted
-tuple by its number of distinct orderings (k! over the factorials of its
-prime multiplicities), read off the runs of the leading primes. What it
-reads of the rows is built once per (x, k, modulus) for every multiset
-(_row_set), so a lone call's work does not grow with phi(modulus). Counts
-and sums that are asked for again are memoised in the table's memo dict
-as well, and the multiset count tables and row sets keep the grouping
-they were built from.
+rows whose sorted leading residues fit its multiset, looked up in the one
+grouping per (x, k, modulus, mode) that the multiset counts read too
+(_multiset_runs), and weights each sorted tuple by its number of distinct
+orderings (k! over the factorials of its prime multiplicities), read off
+the runs of its leading primes as Python ints, exact at every k. Counts,
+sums and groupings that are asked for again are memoised in the table's
+memo dict as well.
 """
 
 from __future__ import annotations
@@ -247,10 +245,11 @@ def _residue_counts(table: SpfTable, x: int, k: int, modulus: int, strict: bool)
     return _tuple_counts(table, x, k, strict, runs, oracle)
 
 
+@_table_memo
 def _multiset_runs(table: SpfTable, x: int, k: int, modulus: int, strict: bool):
     """The rows of _tuple_rows grouped by the sorted residues mod modulus
-    of their leading primes (sieve._runs), for the multiset count table
-    and _row_set, each memoised with the grouping it was built from."""
+    of their leading primes (sieve._runs): the multiset count table and
+    _ordered_stats both read this one grouping."""
     keys = _residue_keys(table, x, k, modulus, strict)
     keys.sort(axis=1)
     return _runs(keys)
@@ -337,40 +336,6 @@ def count_almost_primes_positional(
 
 
 @_table_memo
-def _row_set(table: SpfTable, x: int, k: int, modulus: int):
-    """The rows of _tuple_rows(x, k), repeats allowed, as _ordered_stats
-    reads them for every multiset mod modulus, built once, after the
-    coverage check: (the labelled prime index, the groups of
-    _multiset_runs, rows). rows holds one row per tuple row, in the
-    grouping's order: its place in enumeration order, its leading product
-    and weight, its last leading prime (0 when k = 1) and that prime's run
-    length, lo and hi, in the narrowest unsigned type that holds x and k!
-    (Python ints past 2^64). The weight is k! over the factorials of the
-    run lengths of the leading primes, which each prime's place in its run
-    (one more than the place of the prime before when they are equal)
-    multiplies up to.
-    """
-    _check_coverage(table, x, k)
-    order, groups = _multiset_runs(table, x, k, modulus, False)
-    leading, lo, hi = _tuple_rows(table, x, k, False)
-    # no entry exceeds x or k!
-    lead = leading[order].astype(np.min_scalar_type(max(x, math.factorial(k))))
-    rows = np.zeros((len(order), 7), dtype=lead.dtype)
-    rows[:, 0], rows[:, 5], rows[:, 6] = order, lo[order], hi[order]
-    # the products, and the factorials the weight divides k! by; a run
-    # place is 0 before the first leading prime
-    rows[:, 1:3] = 1
-    for j in range(k - 1):
-        rows[:, 4] *= lead[:, j] == lead[:, j - 1]
-        rows[:, 4] += 1
-        rows[:, 1] *= lead[:, j]
-        rows[:, 2] *= rows[:, 4]
-        rows[:, 3] = lead[:, j]
-    rows[:, 2] = math.factorial(k) // rows[:, 2]
-    return table.class_index(modulus), groups, rows
-
-
-@_table_memo
 def _ordered_stats(
     table: SpfTable,
     x: int,
@@ -383,34 +348,42 @@ def _ordered_stats(
 
     Each sorted tuple counts k! / prod(run length!) times, its runs those
     of the leading primes of its row, and the last prime's. The rows that
-    match are the groups of _row_set for the multiset less one class, so
-    only they are read.
+    match are the groups of _multiset_runs for the multiset less one class,
+    so only they are read.
     """
-    cidx, groups, rows = _row_set(table, x, k, modulus)
+    _check_coverage(table, x, k)
+    cidx = table.class_index(modulus)
+    leading, los, his = _tuple_rows(table, x, k, False)
+    order, groups = _multiset_runs(table, x, k, modulus, False)
     # a row matches when its sorted leading residues are the multiset less
     # one class v, which the last prime then takes; sorted back into
-    # enumeration order by the row's place
+    # enumeration order
     matched = sorted(
-        (*row, v)
+        (i, v)
         for v, reduced in _reductions(residues)
-        if (span := groups.get(reduced))
-        for row in rows[span[0] : span[1]].tolist()
+        for i in order[slice(*groups.get(reduced, (0, 0)))].tolist()
     )
+    k_fact, fact = math.factorial(k), math.factorial
     count = 0
     # the float sums accumulate here, in enumeration order, so they round
     # as one running total would; per-level subtotals would move the last
     # bits of the residuals that verify prints
     log_sum = recip_sum = 0.0
-    for _, prod, weight, last, run, lo, hi, v in matched:
+    for i, v in matched:
+        lead = leading[i].tolist()
+        lo, hi = int(los[i]), int(his[i])
+        prod = math.prod(lead)
+        # lead is sorted, so a prime's count in it is the length of its run
+        weight = k_fact // math.prod(fact(lead.count(p)) for p in set(lead))
         # repeating the last leading prime extends its run; lo is that
         # prime minus one, so the class range after it starts at the prime
-        if last and last <= hi and last % modulus == v:
-            w = weight // (run + 1)
-            n_val = prod * last
+        if lead and lead[-1] <= hi and lead[-1] % modulus == v:
+            w = weight // (lead.count(lead[-1]) + 1)
+            n_val = prod * lead[-1]
             count += w
             log_sum += w * math.log(n_val)
             recip_sum += w / n_val
-            lo = last
+            lo = lead[-1]
         cnt, logs, recips = cidx.stats(v, lo, hi)
         if cnt:
             count += weight * cnt

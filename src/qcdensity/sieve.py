@@ -178,8 +178,9 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, dict]:
 
 class _ClassIndex:
     """The primes grouped by an integer label, ascending within each group,
-    for the float sums of almostprime._ordered_stats: count, sum of log p
-    and sum of 1/p over a range of one label.
+    with their logs and reciprocals, for the float sums of
+    almostprime._ordered_stats: count, sum of log p and sum of 1/p over a
+    range of one label.
 
     Range sums are computed by summing the group slice directly; prefix-sum
     differences would carry absolute error on the order of the full prefix
@@ -191,14 +192,10 @@ class _ClassIndex:
         # label -> (first, one past last) position of its group
         self._groups = {label: run for (label,), run in groups.items()}
         self._primes = primes[order]
-
-    @cached_property
-    def _logs(self) -> np.ndarray:
-        return np.log(self._primes.astype(np.float64))
-
-    @cached_property
-    def _recips(self) -> np.ndarray:
-        return 1.0 / self._primes.astype(np.float64)
+        # one float copy of the primes, which their reciprocals then take
+        floats = self._primes.astype(np.float64)
+        self._logs = np.log(floats)
+        self._recips = np.divide(1.0, floats, out=floats)
 
     def stats(self, label: int, lo: int, hi: int) -> tuple[int, float, float]:
         """(count, sum of log p, sum of 1/p) over labelled primes in (lo, hi]."""

@@ -61,6 +61,10 @@ RESIDUE_DISCRIMINANTS = (2, -2, 3, -3, 5, -5, 6, -7, 10, 13, 15, -20, 21)
 # the residues suite checks the symbol at every prime up to this, where the
 # table reaches
 RESIDUE_PRIME_LIMIT = 10**5
+# the orthogonality suite checks every modulus up to this; the quadratic
+# suite every odd modulus up to this, where the table reaches
+ORTHOGONALITY_MAX_MODULUS = 60
+QUADRATIC_N_MAX = 5000
 
 # one form per discriminant in the oracle set {5, -3, 13, -20, 21, -7}
 QUADRATIC_FORMS = (
@@ -81,9 +85,9 @@ class CheckResult:
     detail: str
 
 
-def check_orthogonality(max_modulus: int = 60) -> list[CheckResult]:
+def check_orthogonality() -> list[CheckResult]:
     """Sum over characters of conj(chi(m)) chi(n) against phi(N) [m == n],
-    for every modulus up to max_modulus and every unit pair.
+    for every modulus up to ORTHOGONALITY_MAX_MODULUS and every unit pair.
 
     Each pair's sum is one np.vdot of two columns of the unit-value matrix,
     as orthogonality_sum takes it, never a Gram matrix (see above), and only
@@ -93,7 +97,7 @@ def check_orthogonality(max_modulus: int = 60) -> list[CheckResult]:
     # looked up once for the suite's 16,000 calls
     vdot = np.vdot
     results = []
-    for n_mod in range(1, max_modulus + 1):
+    for n_mod in range(1, ORTHOGONALITY_MAX_MODULUS + 1):
         group = build_character_group(n_mod)
         phi = group.group_order
         matrix, units = group.unit_value_matrix()
@@ -241,14 +245,14 @@ def _factor_rounds(table: SpfTable, numbers: np.ndarray) -> np.ndarray:
     return np.array(rounds, dtype=np.int64).reshape(len(rounds), numbers.size)
 
 
-def check_quadratic(table: SpfTable, n_max: int = 5000) -> list[CheckResult]:
+def check_quadratic(table: SpfTable) -> list[CheckResult]:
     """Discriminant formula against the full scan on every odd squarefree
-    modulus coprime to the discriminant. Every odd n <= n_max is factored
-    once, for every form, by one pass of _factor_rounds. The scan is one
-    _root_count_grid call for every form and odd squarefree modulus, and each
-    form's formula one _formula_counts call over its moduli, which takes
-    (D/p) once per prime."""
-    n_max = min(n_max, table.limit)
+    modulus coprime to the discriminant. Every odd n up to QUADRATIC_N_MAX,
+    or the table's limit, is factored once, for every form, by one pass of
+    _factor_rounds. The scan is one _root_count_grid call for every form and
+    odd squarefree modulus, and each form's formula one _formula_counts call
+    over its moduli, which takes (D/p) once per prime."""
+    n_max = min(QUADRATIC_N_MAX, table.limit)
     odd = np.arange(1, n_max + 1, 2)
     rounds = _factor_rounds(table, odd)
     squarefree = ~((rounds[1:] == rounds[:-1]) & (rounds[1:] > 1)).any(axis=0)

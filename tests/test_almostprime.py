@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 import qcdensity as q
-from qcdensity import CountMode, ResidueConstraint, sieve
+from qcdensity import CountMode, ResidueConstraint, almostprime, sieve
 
 
 def _scan_count(table, x, k, constraint, mode):
@@ -364,6 +364,66 @@ def test_lone_calls_read_no_more_class_ranges(monkeypatch, call, k):
         constraint = ResidueConstraint(1009, classes[:size])
         q.recursion_residual(table, call, 10**4, k, constraint)
     assert 0 < len(calls) <= LONE_CALL_STATS[call, k]
+
+
+def test_multiset_counts_and_ordered_sums_share_one_grouping(monkeypatch):
+    """The multiset counts and the ordered sums at the same (x, k, N) read
+    one grouping of the sorted leading residues: the rows are grouped once."""
+    calls = []
+    runs = almostprime._runs
+
+    def counted(keys):
+        calls.append(keys.shape)
+        return runs(keys)
+
+    monkeypatch.setattr(almostprime, "_runs", counted)
+    table = q.build_spf_table(10**4)
+    constraint = ResidueConstraint(4, (1, 3, 3))
+    q.count_almost_primes(table, 1000, 3, constraint, CountMode.WITH_MULTIPLICITY)
+    q.ordered_tuple_count(table, 1000, 3, constraint)
+    assert len(calls) == 1
+
+
+def _ordered_multiset_sums(primes, x, k):
+    """(count, sum of log n, sum of 1/n) over the ordered k-tuples of primes
+    with product n <= x: a recursive enumeration of the prime multisets,
+    each weighted by its number of distinct orderings."""
+    count, log_sum, recip_sum = 0, 0.0, 0.0
+
+    def extend(start, chosen, n):
+        nonlocal count, log_sum, recip_sum
+        if len(chosen) == k:
+            weight = math.factorial(k)
+            for p in set(chosen):
+                weight //= math.factorial(chosen.count(p))
+            count += weight
+            log_sum += weight * math.log(n)
+            recip_sum += weight / n
+            return
+        for i in range(start, len(primes)):
+            if n * primes[i] ** (k - len(chosen)) > x:
+                break
+            extend(i, chosen + [primes[i]], n * primes[i])
+
+    extend(0, [], 1)
+    return count, log_sum, recip_sum
+
+
+@pytest.mark.parametrize("k,expected", [(20, 10646), (21, 12671), (22, 14972), (23, 17573)])
+def test_ordered_sums_past_two_to_the_sixty_four(k, expected):
+    """The weights k! / prod(run length!) stay exact up to and past
+    k! = 2^64 (20! < 2^64 < 21!): the ordered count, and the log and
+    reciprocal sums, match a recursive enumeration of the prime multisets."""
+    table = q.build_spf_table(100)
+    x = 15 * 2 ** (k - 1)
+    constraint = ResidueConstraint(1, (0,) * k)
+    count, log_sum, recip_sum = _ordered_multiset_sums(table.primes_list, x, k)
+    assert count == expected
+    assert q.ordered_tuple_count(table, x, k, constraint) == expected
+    sums = q.tuple_sums(table, x, k, constraint)
+    assert sums.ordered_count == expected
+    assert math.isclose(sums.log_sum, log_sum)
+    assert math.isclose(sums.reciprocal_sum, recip_sum)
 
 
 def test_recursion_requires_known_identity(table):

@@ -110,7 +110,7 @@ def test_verify_all_report_prints_as_pinned(monkeypatch, capsys):
 def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
     """A form whose formula goes wrong fails at its first bad modulus; the
     other forms still compare every modulus."""
-    expected = [r.detail for r in verify.check_quadratic(table, 500)]
+    expected = [r.detail for r in verify.check_quadratic(table)]
     formula_counts = verify._formula_counts
 
     def wrong_for_d5(d, primes):
@@ -119,7 +119,7 @@ def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
         return formula_counts(d, primes) + ((d == 5) & (moduli >= 101))
 
     monkeypatch.setattr(verify, "_formula_counts", wrong_for_d5)
-    results = verify.check_quadratic(table, 500)
+    results = verify.check_quadratic(table)
     assert [r.name for r in results if not r.passed] == ["D=5"]
     assert results[0].detail.startswith("count mismatch at n=101: ")
     assert [r.detail for r in results[1:]] == expected[1:]
@@ -128,7 +128,7 @@ def test_quadratic_reports_each_forms_first_counterexample(table, monkeypatch):
 def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch):
     """A scan off by one at n = 15 fails exactly the forms whose moduli
     include 15 (D = 13 and D = -7), each at n = 15."""
-    expected = [r.detail for r in verify.check_quadratic(table, 500)]
+    expected = [r.detail for r in verify.check_quadratic(table)]
     root_count_grid = verify._root_count_grid
 
     def off_at_15(forms, moduli):
@@ -136,7 +136,7 @@ def test_quadratic_reports_a_wrong_scan_at_its_first_modulus(table, monkeypatch)
         return counts + (np.array(moduli) == 15)[:, None]
 
     monkeypatch.setattr(verify, "_root_count_grid", off_at_15)
-    results = verify.check_quadratic(table, 500)
+    results = verify.check_quadratic(table)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["D=13", "D=-7"]
     n15 = q.factorize(table, 15)

@@ -9,11 +9,14 @@ Usage, from the root of a checkout:
 
     python3 tools/code_lines.py src/qcdensity
 
-prints one line per file, then the total.
+prints one line per file, then the total. With no path it counts
+src/qcdensity. A path that does not exist, or any option, is a usage error
+(exit status 2).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -63,9 +66,14 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="code_lines.py", add_help=False)
+    parser.add_argument("paths", nargs="*", type=Path, default=[Path("src/qcdensity")])
+    paths = parser.parse_args(argv).paths
+    for path in paths:
+        if not path.exists():
+            parser.error(f"no such file or directory: {path}")
     total = 0
-    for root in argv or ["src/qcdensity"]:
-        path = Path(root)
+    for path in paths:
         for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             count = code_lines(file.read_text())
             total += count
