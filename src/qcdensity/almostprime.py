@@ -36,6 +36,15 @@ labelled prime index (sieve._ClassIndex), and the character-sum route. The
 last position reaches _coverage_need(x, k) = x / 2^(k-1), so they need
 every prime up to there, and each checks it before it reads the rows.
 
+The exact recursions of the ordered sums (_recursion_residuals, which
+verify checks) read those sums through one term evaluator,
+_recursion_term, on both sides; tuple_sums' error term and the reduced
+reciprocal sums read it too, and _recursion_parts makes its terms into
+the values tuple_sums reports, so the error term's formula is written
+once. The right-hand side reads every prime p <= x, so the recursions
+need the table up to x itself, checked once before either side reads
+anything.
+
 The ordered-tuple float sums, _ordered_stats, and the character-sum route
 loop over the rows in enumeration order. _ordered_stats visits only the
 rows whose sorted leading residues fit its multiset, looked up in the one
@@ -425,13 +434,12 @@ def _reduced_reciprocal_sum(
     table: SpfTable, xf: int, k: int, modulus: int, ms: tuple[int, ...]
 ) -> float:
     """The sum of the level-(k-1) reciprocal sums over the distinct
-    one-residue reductions of ms (_reductions, in ascending class), the
-    empty reduction contributing 1."""
-    if k == 1:
-        return 1.0
+    one-residue reductions of ms (_reductions, in ascending class), each
+    read as _recursion_term's reciprocal_sum term, so the empty reduction
+    contributes 1."""
     total = 0.0
     for _, reduced in _reductions(ms):
-        total += _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
+        total += _recursion_term(table, "reciprocal_sum", xf, k, modulus, reduced)
     return total
 
 
@@ -439,9 +447,10 @@ def tuple_sums(
     table: SpfTable, x: float, k: int, constraint: ResidueConstraint
 ) -> OrderedTupleSums:
     """Ordered-tuple sums at real x >= 0 (enumeration thresholds use floor(x),
-    the error term keeps the exact x). The error term reads the level-(k-1)
-    sums, whose last position reaches further, so that level's coverage is
-    checked first."""
+    the error term keeps the exact x). The error term is _recursion_term's,
+    made into f_k by _recursion_parts, as both sides of the recursions make
+    it; it reads the level-(k-1) sums, whose last position reaches further,
+    so that level's coverage is checked first."""
     if k < 1 or constraint.k != k:
         raise ValueError("constraint length must equal k >= 1")
     if x < 0:
@@ -451,9 +460,8 @@ def tuple_sums(
     n_mod = constraint.modulus
     ms = constraint.multiset()
     cnt, logs, recips = _ordered_stats(table, xf, k, n_mod, ms)
-    phi = euler_phi(n_mod)
-    reduced_recips = _reduced_reciprocal_sum(table, xf, k, n_mod, ms)
-    error = phi**k * logs - x * k * phi ** (k - 1) * reduced_recips
+    terms = _recursion_term(table, "error_term", xf, k, n_mod, ms)
+    error = _recursion_parts("error_term", terms, x, k, euler_phi(n_mod))
     return OrderedTupleSums(
         ordered_count=cnt,
         log_sum=logs,
@@ -515,16 +523,30 @@ def ordered_tuple_count_via_characters(
 def _recursion_term(
     table: SpfTable, identity: str, xf: int, k: int, modulus: int, reduced: tuple
 ):
-    """What the identity reads of tuple_sums(table, x/p, ..., reduced) with
-    floor(x/p) = xf: log_sum; the level-(k-1) reciprocal_sum (1.0 at k = 1);
+    """What the identity reads of tuple_sums(table, x, k, reduced) at
+    floor(x) = xf: log_sum; the level-(k-1) reciprocal_sum (1.0 at k = 1);
     or, for error_term, the (log_sum, reduced reciprocal sum) pair its
-    error_term is made of."""
+    error_term is made of (_recursion_parts). The one reader of the ordered
+    sums for the recursions: both of their sides, tuple_sums' error term and
+    _reduced_reciprocal_sum take their terms here."""
     if identity == "log_sum":
         return _ordered_stats(table, xf, k, modulus, reduced)[1]
     if identity == "reciprocal_sum":
         return 1.0 if k == 1 else _ordered_stats(table, xf, k - 1, modulus, reduced)[2]
     logs = _ordered_stats(table, xf, k, modulus, reduced)[1]
     return logs, _reduced_reciprocal_sum(table, xf, k, modulus, reduced)
+
+
+def _recursion_parts(identity: str, terms, y, k: int, phi: int):
+    """The value tuple_sums reports at level k and x = y, from
+    _recursion_term's terms (floats or arrays of them; error_term's pairs
+    along the first axis): the terms themselves, or the error term
+    f_k = phi^k log_sum - y k phi^(k-1) (reduced reciprocal sum), each
+    product one rounding. The one spelling of f_k."""
+    if identity != "error_term":
+        return terms
+    logs, reduced_recips = terms
+    return logs * phi**k - reduced_recips * (y * k * phi ** (k - 1))
 
 
 def _recursion_residuals(
@@ -539,13 +561,16 @@ def _recursion_residuals(
     sorted tuple of units in 0..modulus-1, as ResidueConstraint.multiset
     gives it.
 
-    The right-hand side at x/p depends on p only through floor(x/p) and
-    the multiset less the class of p (and, for the error term, the exact
-    x/p, applied here): each (floor(x/p), reduced multiset) that some
-    multiset reads is evaluated once, for them all. Row by multiset and
-    column by prime p <= x, in p order, the parts of tuple_sums make one
-    array, 0.0 at a prime whose class is not in the multiset, and one
-    left-to-right np.add.accumulate along each row adds them as a loop
+    Both sides read _recursion_term and make its terms into tuple_sums'
+    values with _recursion_parts. The left-hand side is the term one level
+    up, at x itself. The right-hand side reads every prime p <= x, so the
+    table's coverage of x is checked before either side reads anything. At
+    x/p it depends on p only through floor(x/p) and the multiset less the
+    class of p (and, for the error term, the exact x/p): each (floor(x/p),
+    reduced multiset) that some multiset reads is evaluated once, for them
+    all. Row by multiset and column by prime p <= x, in p order, the parts
+    make one array, 0.0 at a prime whose class is not in the multiset, and
+    one left-to-right np.add.accumulate along each row adds them as a loop
     over the multiset's own primes would: adding 0.0 changes no bit, while
     np.add.reduce sums pairwise and builtin sum, from Python 3.12,
     compensated, and either would move the last bits of the residuals that
@@ -560,14 +585,13 @@ def _recursion_residuals(
     size = k if identity == "reciprocal_sum" else k + 1
     if any(len(ms) != size for ms in multisets):
         raise ValueError(f"identity {identity} needs a constraint of length {size}")
-    lhs = np.array([
-        getattr(tuple_sums(table, x, size, ResidueConstraint(modulus, ms)), identity)
-        for ms in multisets
-    ])
+    xf = math.floor(x)
+    _check_coverage(table, xf, 1)
+    phi = euler_phi(modulus)
+    up = [_recursion_term(table, identity, xf, k + 1, modulus, m) for m in multisets]
+    lhs = _recursion_parts(identity, np.array(up).T, x, k + 1, phi)
     if identity != "reciprocal_sum":
         lhs *= k
-    phi = euler_phi(modulus)
-    xf = math.floor(x)
     primes = table.primes[: prime_count(table, xf)]
     xp = x / primes
     keys, inverse = np.unique(
@@ -592,24 +616,13 @@ def _recursion_residuals(
         for xq, r in zip(*(part.tolist() for part in divmod(pairs, len(reduced))))
     ]
     # the term each multiset reads at each prime, by its number in terms;
-    # the 0.0 past them where it reads none
-    at = np.full(reads.shape, len(terms), dtype=np.int32)
+    # the zero term past them where it reads none
+    terms.append((0.0, 0.0) if identity == "error_term" else 0.0)
+    at = np.full(reads.shape, len(terms) - 1, dtype=np.int32)
     at[read] = which
-    at = at[:, inverse]
-    if identity == "error_term":
-        logs, reduced_recips = np.array([*terms, (0.0, 0.0)]).T
-        # tuple_sums' error term at x/p, each product taken in place
-        parts = logs[at]
-        parts *= phi**k
-        rest = reduced_recips[at]
-        rest *= xp * k * phi ** (k - 1)
-        parts -= rest
-        del rest
-    else:
-        parts = np.array([*terms, 0.0])[at]
-        if identity == "reciprocal_sum":
-            parts /= primes
-    del at
+    parts = _recursion_parts(identity, np.array(terms).T[..., at[:, inverse]], xp, k, phi)
+    if identity == "reciprocal_sum":
+        parts /= primes
     rhs = np.add.accumulate(parts, axis=1, out=parts)[:, -1]
     if identity == "log_sum":
         rhs *= k + 1

@@ -284,7 +284,8 @@ def _scan_ordered(table, x, k, constraint):
 
 _X = 1000
 _SQUAREFREE = CountMode.SQUAREFREE
-_RESIDUES = (3, 1, 3)
+# four classes: the log and error-term recursions at k = 3 take k + 1
+_RESIDUES = (3, 1, 3, 1)
 
 
 def _classes(k):
@@ -301,6 +302,22 @@ def _oracle_need(x, k):
 
 def _reduced_level_need(x, k):
     return almostprime._coverage_need(x, max(k - 1, 1))
+
+
+def _every_prime_need(x, k):
+    # the right-hand side of a recursion reads every prime p <= x
+    return x
+
+
+def _residual(identity):
+    """recursion_residual at _X, on a constraint of the length the identity
+    takes at k."""
+
+    def value(t, k):
+        size = k if identity == "reciprocal_sum" else k + 1
+        return q.recursion_residual(t, identity, _X, k, _classes(size))
+
+    return value
 
 
 # entry point: (the table limit it needs, its value, the scan's value)
@@ -344,6 +361,11 @@ _ENTRY_POINTS = {
         lambda t, k: q.count_sign_constrained(t, _X, k, _signs(k)),
         lambda t, k: _scan_signs(t, _X, k, _signs(k), _SQUAREFREE),
     ),
+    # the recursions: the value of the larger table stands for the scan
+    **{
+        identity: (_every_prime_need, _residual(identity), _residual(identity))
+        for identity in ("log_sum", "reciprocal_sum", "error_term")
+    },
 }
 
 
