@@ -30,11 +30,14 @@ leading prime too. So every integer count needs the table only up to
 isqrt(x), and is refused by the oracle before the walk when the table
 stops short.
 
-The one coverage rule, _check_coverage, guards only the routes that read
-the table's primes at the last position: the ordered float sums, on the
-labelled prime index (sieve._ClassIndex), and the character-sum route. The
-last position reaches _coverage_need(x, k) = x / 2^(k-1), so they need
-every prime up to there, and each checks it before it reads the rows.
+Every refusal of a short table comes from sieve._primes_to, the one
+reader of the table's primes up to a bound, with a message that names the
+caller's own x (and k, where the need depends on it). The walk reads its
+leading primes there, and the oracles their primes up to isqrt(x). The
+routes that read the table's primes at the last position, the ordered
+float sums on the labelled prime index (sieve._ClassIndex) and the
+character-sum route, ask it for the primes up to _coverage_need(x, k) =
+x / 2^(k-1), which the last position reaches, before they read the rows.
 
 The exact recursions of the ordered sums (_recursion_residuals, which
 verify checks) read those sums through one term evaluator,
@@ -73,6 +76,7 @@ from .sieve import (
     _PrimeCountOracle,
     _class_oracle,
     _prime_count_grid,
+    _primes_to,
     _runs,
     _table_memo,
     prime_count,
@@ -124,17 +128,6 @@ def _coverage_need(x: int, k: int) -> int:
     return x // 2 ** (k - 1)
 
 
-def _check_coverage(table: SpfTable, x: int, k: int) -> None:
-    """Refuse a table whose labelled prime index (the table's primes) stops
-    short of _coverage_need(x, k); called before the rows are read, so a
-    refused call walks nothing."""
-    need = _coverage_need(x, k)
-    if need > table.limit:
-        raise ValueError(
-            f"table limit {table.limit} too small for x = {x}, k = {k} (need {need})"
-        )
-
-
 @_table_memo
 def _tuple_rows(
     table: SpfTable, x: int, k: int, strict: bool
@@ -158,8 +151,8 @@ def _tuple_rows(
     that stops short of that is refused, so no truncated walk is memoised.
     """
     top = math.isqrt(x >> (k - 2)) if k > 1 else 1
-    # prime_count refuses a top past the table's limit
-    primes = table.primes[: prime_count(table, top)].astype(np.int32)
+    primes = _primes_to(table, top, f"the leading primes of x = {x}, k = {k}")
+    primes = primes.astype(np.int32)
     # the frontier is the rows of the tuples chosen so far: before the
     # first position, one row with no leading prime and the range (1, x]
     leading = np.empty((1, 0), dtype=np.int32)
@@ -360,7 +353,7 @@ def _ordered_stats(
     match are the groups of _multiset_runs for the multiset less one class,
     so only they are read.
     """
-    _check_coverage(table, x, k)
+    _primes_to(table, _coverage_need(x, k), f"x = {x}, k = {k}")
     cidx = table.class_index(modulus)
     leading, los, his = _tuple_rows(table, x, k, False)
     order, groups = _multiset_runs(table, x, k, modulus, False)
@@ -456,7 +449,7 @@ def tuple_sums(
     if x < 0:
         raise ValueError("x must be >= 0")
     xf = math.floor(x)
-    _check_coverage(table, xf, max(k - 1, 1))
+    _primes_to(table, _coverage_need(xf, max(k - 1, 1)), f"x = {x}, k = {k}")
     n_mod = constraint.modulus
     ms = constraint.multiset()
     cnt, logs, recips = _ordered_stats(table, xf, k, n_mod, ms)
@@ -492,7 +485,7 @@ def ordered_tuple_count_via_characters(
         raise ValueError(f"k must be in 1..{CHARACTER_SUM_K_LIMIT}")
     if constraint.k != k:
         raise ValueError("constraint length must equal k")
-    _check_coverage(table, x, k)
+    _primes_to(table, _coverage_need(x, k), f"x = {x}, k = {k}")
     n_mod = constraint.modulus
     group = build_character_group(n_mod)
     arrangements = sorted(set(itertools.permutations(constraint.residues)))
@@ -563,18 +556,18 @@ def _recursion_residuals(
 
     Both sides read _recursion_term and make its terms into tuple_sums'
     values with _recursion_parts. The left-hand side is the term one level
-    up, at x itself. The right-hand side reads every prime p <= x, so the
-    table's coverage of x is checked before either side reads anything. At
-    x/p it depends on p only through floor(x/p) and the multiset less the
-    class of p (and, for the error term, the exact x/p): each (floor(x/p),
-    reduced multiset) that some multiset reads is evaluated once, for them
-    all. Row by multiset and column by prime p <= x, in p order, the parts
-    make one array, 0.0 at a prime whose class is not in the multiset, and
-    one left-to-right np.add.accumulate along each row adds them as a loop
-    over the multiset's own primes would: adding 0.0 changes no bit, while
-    np.add.reduce sums pairwise and builtin sum, from Python 3.12,
-    compensated, and either would move the last bits of the residuals that
-    verify prints.
+    up, at x itself. The right-hand side reads every prime p <= x, so those
+    primes are read, and a table short of x refused, before either side
+    reads anything. At x/p it depends on p only through floor(x/p) and the
+    multiset less the class of p (and, for the error term, the exact x/p):
+    each (floor(x/p), reduced multiset) that some multiset reads is
+    evaluated once, for them all. Row by multiset and column by prime
+    p <= x, in p order, the parts make one array, 0.0 at a prime whose
+    class is not in the multiset, and one left-to-right np.add.accumulate
+    along each row adds them as a loop over the multiset's own primes
+    would: adding 0.0 changes no bit, while np.add.reduce sums pairwise and
+    builtin sum, from Python 3.12, compensated, and either would move the
+    last bits of the residuals that verify prints.
     """
     if identity not in ("log_sum", "reciprocal_sum", "error_term"):
         raise ValueError(f"unknown identity {identity!r}")
@@ -586,13 +579,12 @@ def _recursion_residuals(
     if any(len(ms) != size for ms in multisets):
         raise ValueError(f"identity {identity} needs a constraint of length {size}")
     xf = math.floor(x)
-    _check_coverage(table, xf, 1)
+    primes = _primes_to(table, xf, f"the recursions at x = {x}, k = {k}")
     phi = euler_phi(modulus)
     up = [_recursion_term(table, identity, xf, k + 1, modulus, m) for m in multisets]
     lhs = _recursion_parts(identity, np.array(up).T, x, k + 1, phi)
     if identity != "reciprocal_sum":
         lhs *= k
-    primes = table.primes[: prime_count(table, xf)]
     xp = x / primes
     keys, inverse = np.unique(
         np.floor(xp).astype(np.int64) * modulus + primes % modulus, return_inverse=True

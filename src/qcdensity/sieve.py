@@ -50,13 +50,19 @@ rows of a 2-D key array, cut into runs of equal keys, {key: (start,
 stop)}. The count tables of almostprime.py and density.py, the rows of
 the ordered float sums and _ClassIndex all take their groups from it.
 
-Two readers of the table's primes stay outside that backend. _ClassIndex
-groups them by one integer label (class_index(N) labels by p mod N) and
-sums log p and 1/p over a range, for the ordered float sums of
-almostprime.py; it answers any hi up to the table's limit. prime_count and
-prime_count_in_class (`primes`, `primes --mod`) count the table's primes up
-to a limit, the latter from one bincount of their residues, so a modulus up
-to 10^5 costs a pass over the primes rather than phi(N) oracle rows.
+The table's primes up to a bound are read in one place, _primes_to, which
+is also the one refusal of a table that stops short of the bound: its
+ValueError says "table limit L too small for ... (need bound)", naming
+what the caller computes. The oracles (_oracle_primes), the walk of
+almostprime.py and its coverage checks all read or check their primes
+there. Two readers of the table's primes stay outside the oracle
+backend. _ClassIndex groups them by one integer label (class_index(N)
+labels by p mod N) and sums log p and 1/p over a range, for the ordered
+float sums of almostprime.py; it answers any hi up to the table's limit.
+prime_count and prime_count_in_class (`primes`, `primes --mod`) count the
+primes _primes_to gives up to a limit, the latter from one bincount of
+their residues, so a modulus up to 10^5 costs a pass over the primes
+rather than phi(N) oracle rows.
 
 Indexes, oracles, recorded walks and counts are memoised in the table's
 memo dict, so they are freed with the table, or earlier by _forget.
@@ -455,19 +461,22 @@ def _oracle_need(x: int, modulus: int | None = None) -> int:
     return r
 
 
+def _primes_to(table: SpfTable, bound: int, what: str) -> np.ndarray:
+    """The table's primes up to bound (none when bound < 2): the one reader
+    of the table's primes up to a bound, and the one refusal of a table that
+    stops short of it, a ValueError naming `what` the caller computes."""
+    if bound > table.limit:
+        raise ValueError(f"table limit {table.limit} too small for {what} (need {bound})")
+    return table.primes[: np.searchsorted(table.primes, bound, side="right")]
+
+
 def _oracle_primes(
     table: SpfTable, x: int, modulus: int | None = None
 ) -> np.ndarray:
     """The table's primes up to isqrt(x), all that the prime sums for x
     read (the class sums, given a modulus). Raises what _oracle_need raises,
-    and ValueError when the table stops short of isqrt(x)."""
-    r = _oracle_need(x, modulus)
-    if r > table.limit:
-        raise ValueError(
-            f"table limit {table.limit} too small for prime counts to x = {x}"
-            f" (need {r})"
-        )
-    return table.primes[: np.searchsorted(table.primes, r, side="right")]
+    then what _primes_to raises."""
+    return _primes_to(table, _oracle_need(x, modulus), f"prime counts to x = {x}")
 
 
 @_table_memo
@@ -584,18 +593,14 @@ def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTa
 
 def prime_count(table: SpfTable, x: int) -> int:
     """pi(x): number of primes <= x. Requires x <= table.limit."""
-    if x > table.limit:
-        raise ValueError(f"x = {x} exceeds table limit {table.limit}")
-    if x < 2:
-        return 0
-    return int(np.searchsorted(table.primes, x, side="right"))
+    return len(_primes_to(table, x, f"the primes up to x = {x}"))
 
 
 @_table_memo
 def _class_counts(table: SpfTable, x: int, modulus: int) -> np.ndarray:
     """The number of primes p <= x in each class mod modulus, one bincount
     of their residues."""
-    residues = table.primes[: prime_count(table, x)] % modulus
+    residues = _primes_to(table, x, f"the primes up to x = {x}") % modulus
     return np.bincount(residues, minlength=modulus)
 
 

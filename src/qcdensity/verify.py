@@ -50,7 +50,7 @@ from .arith import _units
 from .characters import build_character_group, orthogonality_sum
 from .quadratic import QuadraticForm, _formula_counts, _root_count_grid
 from .residues import class_count, residue_classes_constructive, residue_classes_direct
-from .sieve import SpfTable, prime_count
+from .sieve import SpfTable, _primes_to
 
 ORTHOGONALITY_TOLERANCE = 1e-9
 RESIDUAL_TOLERANCE = 1e-9
@@ -189,8 +189,7 @@ def check_residues(table: SpfTable) -> list[CheckResult]:
     class sets."""
     results = []
     p_max = min(RESIDUE_PRIME_LIMIT, table.limit)
-    upto = prime_count(table, p_max)
-    table_primes = table.primes[:upto].astype(np.int64)
+    table_primes = _primes_to(table, p_max, f"the residue checks to {p_max}")
     for d in RESIDUE_DISCRIMINANTS:
         problems = []
         plus = residue_classes_direct(d, 1)

@@ -251,8 +251,29 @@ def test_recursion_residuals_vanish(table, identity, modulus, k):
             assert residual < 1e-9, (identity, residues, x)
 
 
+def _error_term(table, x, k, constraint):
+    """f_k at x spelled out from tuple_sums' log and reciprocal sums:
+    phi^k log_sum - x k phi^(k-1) reduced, where reduced adds the level-(k-1)
+    reciprocal sums of the multiset less each distinct class, left to right
+    in ascending class, and is 1.0 at k = 1."""
+    n_mod = constraint.modulus
+    phi = q.euler_phi(n_mod)
+    ms = constraint.multiset()
+    reduced = 1.0
+    if k > 1:
+        reduced = 0.0
+        for v in sorted(set(ms)):
+            rest = list(ms)
+            rest.remove(v)
+            child = ResidueConstraint(n_mod, tuple(rest))
+            reduced += q.tuple_sums(table, x, k - 1, child).reciprocal_sum
+    log_sum = q.tuple_sums(table, x, k, constraint).log_sum
+    return phi**k * log_sum - x * k * phi ** (k - 1) * reduced
+
+
 def _reference_residual(table, identity, x, k, constraint):
-    """recursion_residual as one public tuple_sums call per prime p <= x."""
+    """recursion_residual as public tuple_sums calls per prime p <= x, with
+    the error term spelled out (_error_term)."""
     n_mod = constraint.modulus
     phi = q.euler_phi(n_mod)
     ms = constraint.multiset()
@@ -261,7 +282,7 @@ def _reference_residual(table, identity, x, k, constraint):
     elif identity == "reciprocal_sum":
         lhs = q.tuple_sums(table, x, k, constraint).reciprocal_sum
     else:
-        lhs = k * q.tuple_sums(table, x, k + 1, constraint).error_term
+        lhs = k * _error_term(table, x, k + 1, constraint)
     rhs = 0.0
     for p in table.primes_list[: q.prime_count(table, math.floor(x))]:
         if p % n_mod not in ms:
@@ -277,7 +298,7 @@ def _reference_residual(table, identity, x, k, constraint):
                 inner = q.tuple_sums(table, x / p, k - 1, child).reciprocal_sum
             rhs += inner / p
         else:
-            rhs += q.tuple_sums(table, x / p, k, child).error_term
+            rhs += _error_term(table, x / p, k, child)
     if identity == "log_sum":
         rhs *= k + 1
     elif identity == "error_term":
@@ -448,6 +469,59 @@ def test_scale_guards(table):
         q.ordered_tuple_count_via_characters(
             table, 100, 4, ResidueConstraint(4, (1, 1, 3, 3))
         )
+
+
+_ONE_CLASS, _TWO_CLASSES = ResidueConstraint(4, (1,)), ResidueConstraint(4, (1, 3))
+_SIGN = q.SignConstraint(5, (1,))
+
+# public call on a table -> the refusal it must raise before reading anything
+_BAD_ARGUMENTS = {
+    "count k < 1": (lambda t: q.count_almost_primes(t, 100, 0), "k must be"),
+    "count x < 1": (lambda t: q.count_almost_primes(t, 0, 1), "x must be"),
+    "count length": (lambda t: q.count_almost_primes(t, 100, 2, _ONE_CLASS), "length"),
+    "positional length": (
+        lambda t: q.count_almost_primes_positional(t, 100, 2, (1,), 4),
+        "one residue per position",
+    ),
+    "positional x < 1": (
+        lambda t: q.count_almost_primes_positional(t, 0, 1, (1,), 4),
+        "x must be",
+    ),
+    "ordered length": (lambda t: q.ordered_tuple_count(t, 100, 2, _ONE_CLASS), "length"),
+    "ordered x < 1": (lambda t: q.ordered_tuple_count(t, 0, 1, _ONE_CLASS), "x must be"),
+    "signs length": (lambda t: q.count_sign_constrained(t, 100, 2, _SIGN), "length"),
+    "signs x < 1": (lambda t: q.count_sign_constrained(t, 0, 1, _SIGN), "x must be"),
+    "tuple_sums length": (lambda t: q.tuple_sums(t, 100, 2, _ONE_CLASS), "length"),
+    "tuple_sums x < 0": (lambda t: q.tuple_sums(t, -0.5, 1, _ONE_CLASS), "x must be"),
+    "characters length": (
+        lambda t: q.ordered_tuple_count_via_characters(t, 100, 1, _TWO_CLASSES),
+        "length",
+    ),
+    "recursion k < 1": (
+        lambda t: q.recursion_residual(t, "reciprocal_sum", 100, 0, _ONE_CLASS),
+        "k must be",
+    ),
+    "recursion k > 3": (
+        lambda t: q.recursion_residual(
+            t, "reciprocal_sum", 100, 4, ResidueConstraint(4, (1, 1, 3, 3))
+        ),
+        "k must be",
+    ),
+    "trend x < 16": (lambda t: q.trend_ratios(t, 15, 1, _ONE_CLASS), "x must be"),
+    "asymptotic modulus < 1": (
+        lambda t: q.class_constrained_asymptotic(100, 1, 0),
+        "modulus must be",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_public_calls_refuse_bad_arguments_before_any_work(case):
+    call, message = _BAD_ARGUMENTS[case]
+    fresh = q.build_spf_table(100)
+    with pytest.raises(ValueError, match=message):
+        call(fresh)
+    assert fresh.memo == {}
 
 
 def test_ordered_count_sandwiched_by_set_counts(table):

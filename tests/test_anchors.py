@@ -22,8 +22,15 @@ def test_committed_anchors_pass_the_generator_s_checks():
     anchors.check(_committed())
 
 
+def test_committed_boxes_add_up_to_the_odd_sign_counts(table):
+    """The --cross-check boxes of each sign tuple, for D = 5 at 10^9, add up
+    to its odd-n sign count on the sign oracle."""
+    anchors.check_boxes(table, _committed())
+
+
 def test_every_anchor_is_recomputed_exactly(table):
-    """Every sign row, reference and sum, for each D, k and x, equals the
-    committed count: a fault that moves counts between sign rows and keeps
-    their sum fails here, where it passes criterion 11."""
+    """Every sign row, reference and sum, for each D, k and x, and every
+    box equals the committed count: a fault that moves counts between sign
+    rows, or between boxes, and keeps their sum fails here, where it passes
+    criterion 11 and the box sums."""
     assert anchors.anchors(table) == _committed()

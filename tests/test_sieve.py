@@ -280,7 +280,7 @@ def test_prime_count_in_class_matches_the_primes(table, modulus):
 
 
 def test_prime_count_in_class_refuses_bad_arguments(small_table):
-    with pytest.raises(ValueError, match="exceeds table limit"):
+    with pytest.raises(ValueError, match="too small"):
         q.prime_count_in_class(small_table, 10**4 + 1, 1, 4)
     for modulus in (0, 10**5 + 1):
         with pytest.raises(ValueError, match="class modulus"):

@@ -9,6 +9,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 from array import array
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_prime_counts_over_the_work_budget_raise():
 def test_the_walk_refuses_a_table_short_of_its_leading_primes():
     # 31 = isqrt(1000) leads the tuples (2, 31) and (31, 31) at k = 2
     short = q.build_spf_table(30)
-    with pytest.raises(ValueError, match="exceeds table limit"):
+    with pytest.raises(ValueError, match="too small"):
         almostprime._tuple_rows(short, 1000, 2, False)
     assert short.memo == {}
     assert almostprime._tuple_rows(q.build_spf_table(31), 1000, 2, False)[0].max() == 31
@@ -369,15 +370,26 @@ _ENTRY_POINTS = {
 }
 
 
+# the entry points whose need depends on k, so whose refusal names it
+_NAMES_K = {
+    "ordered", "characters", "tuple_sums", "log_sum", "reciprocal_sum", "error_term"
+}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_every_entry_point_keeps_the_coverage_rule(table, entry, k):
     """A table one entry short of the need is refused before any walk is
-    memoised; a table exactly at the need gives the scan's value."""
+    memoised, in a message that names the caller's own x (and k, where the
+    need depends on it) and the need; a table exactly at the need gives the
+    scan's value."""
     need_of, value, scan = _ENTRY_POINTS[entry]
     need = need_of(_X, k)
     short = q.build_spf_table(need - 1)
-    with pytest.raises(ValueError, match="too small"):
+    refusal = rf"too small for .*\(need {need}\)$"
+    with pytest.raises(ValueError, match=refusal) as refused:
         value(short, k)
+    named = rf"\bx = {_X}, k = {k}\b" if entry in _NAMES_K else rf"\bx = {_X}\b"
+    assert re.search(named, str(refused.value))
     assert [args for fn, args in short.memo if fn.__name__ == "_tuple_rows"] == []
     assert value(q.build_spf_table(need), k) == scan(table, k)
